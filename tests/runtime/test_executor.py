@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
+    effective_cpu_count,
     executor_from_env,
     get_default_executor,
     parallel_map,
@@ -161,3 +162,12 @@ class TestDefaultExecutor:
 
     def test_parallel_map_uses_explicit_executor(self):
         assert parallel_map(_square, range(4), SerialExecutor()) == [0, 1, 4, 9]
+
+
+class TestEffectiveCpuCount:
+    def test_positive(self):
+        assert effective_cpu_count() >= 1
+
+    def test_matches_affinity_when_available(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert effective_cpu_count() == len(os.sched_getaffinity(0))

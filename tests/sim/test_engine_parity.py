@@ -107,7 +107,7 @@ class TestEngineDigestParity:
     def test_unknown_engine_rejected(self):
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="expected 'fast' or 'legacy'"):
             ProtocolConfig(engine="turbo")
 
 

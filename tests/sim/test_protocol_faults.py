@@ -165,6 +165,25 @@ class TestChaosDrain:
         assert result.confirmed_tx_ids >= sim._relevant_tx_ids()
         assert result.drops > result.fault_stats.duplicates  # loss dominated
 
+    @pytest.mark.parametrize("blocks", [0, 1])
+    def test_retransmit_blocks_caps_tip_regossip(self, blocks):
+        # ``[-0:]`` is the whole chain: 0 must mean no blocks, not all.
+        __, __, sim = build(
+            prefix="regossip",
+            fault_plan=FaultPlan.lossy(0.3),
+            retransmit_interval=2.0,
+            retransmit_blocks=blocks,
+            trace=True,
+        )
+        result = sim.run()
+        sweeps = result.trace.records_named("retransmit.sweep")
+        assert sweeps
+        live_nodes = len(sim.network.node_ids)
+        assert all(
+            record.attrs["blocks_regossiped"] <= blocks * live_nodes
+            for record in sweeps
+        )
+
 
 class TestFaultyLeader:
     """Withholding and equivocating leaders during parameter unification."""

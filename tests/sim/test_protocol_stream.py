@@ -4,11 +4,11 @@ The streaming layer's contract has three legs:
 
 * an **unpaced** ``TxStream`` is materialized at construction, so
   generator-built workloads reproduce the recorded ``seed_digests.json``
-  baselines bit-for-bit on every engine that list workloads do;
-* **paced** injection (``inject_batch=``) is deterministic and
-  engine-agnostic: the fast and shard-parallel engines (inline and fork
-  backends) emit identical trace digests, confirm identical counts, and
-  evict identically under a mempool bound;
+  baselines bit-for-bit;
+* **paced** injection (``inject_batch=``) is deterministic and pinned:
+  repeated runs emit identical trace digests, confirm identical counts
+  and evict identically under a mempool bound, and both paced profiles
+  reproduce their recorded ``seed_digests.json`` baselines;
 * every unsupported combination is refused loudly at construction, not
   degraded silently at runtime.
 """
@@ -25,7 +25,6 @@ from repro.consensus.pow import PoWParameters
 from repro.errors import ConfigError, WorkloadError
 from repro.faults.plan import FaultPlan
 from repro.observe import Tracer
-from repro.runtime.shard_workers import fork_available
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import (
     MAX_MATERIALIZED_TXS,
@@ -67,7 +66,6 @@ def _simulate_stream(engine: str, unified: bool = False, faulty: bool = False):
 
 def _run_paced(
     engine: str,
-    workers: int | None = None,
     limit: int | None = None,
     batch: int = 10,
 ):
@@ -75,7 +73,6 @@ def _run_paced(
     config = ProtocolConfig(
         seed=SEED,
         engine=engine,
-        shard_workers=workers,
         trace=tracer,
         max_duration=5000.0,
         pow_params=PoWParameters.fast_confirmation(),
@@ -90,16 +87,11 @@ def _run_paced(
 
 
 class TestUnpacedStreamParity:
-    """TxStream without pacing == materialized list, on every engine."""
+    """TxStream without pacing == materialized list."""
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_fast_engine_stream_matches_recorded_baseline(self, profile):
         result = _simulate_stream("fast", **PROFILES[profile])
-        assert result.trace.digest() == BASELINES[profile]
-
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_shard_parallel_stream_matches_recorded_baseline(self, profile):
-        result = _simulate_stream("shard_parallel", **PROFILES[profile])
         assert result.trace.digest() == BASELINES[profile]
 
     def test_stream_fields_match_list_generator(self):
@@ -116,7 +108,7 @@ class TestUnpacedStreamParity:
 
 
 class TestPacedStreamingParity:
-    """Paced injection: fast vs. shard-parallel, repeatably."""
+    """Paced injection: repeatable, and equal to the recorded digests."""
 
     def test_fast_engine_paced_runs_are_deterministic(self):
         first, digest_a = _run_paced("fast")
@@ -126,37 +118,22 @@ class TestPacedStreamingParity:
         assert first.duration == second.duration
         assert first.evicted == second.evicted == 0
 
-    def test_shard_parallel_paced_digest_matches_fast(self):
-        fast, digest_fast = _run_paced("fast")
-        par, digest_par = _run_paced("shard_parallel")
-        assert digest_par == digest_fast
-        assert par.confirmed_count() == fast.confirmed_count()
-        assert par.per_shard_confirmed == fast.per_shard_confirmed
-        assert par.duration == fast.duration
-        assert par.evicted == fast.evicted
-        assert dict(par.rewards.blocks_mined) == dict(fast.rewards.blocks_mined)
+    def test_paced_digest_matches_recorded_baseline(self):
+        result, digest = _run_paced("fast")
+        assert digest == BASELINES["paced"]
+        assert result.confirmed_count() == TXS
+        assert result.evicted == 0
 
-    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-    def test_fork_backend_paced_digest_matches_fast(self):
-        fast, digest_fast = _run_paced("fast")
-        par, digest_par = _run_paced("shard_parallel", workers=3)
-        assert digest_par == digest_fast
-        assert par.confirmed_count() == fast.confirmed_count()
-        assert par.duration == fast.duration
-
-    def test_eviction_determinism_across_engines(self):
+    def test_eviction_digest_matches_recorded_baseline(self):
         """A tight mempool bound evicts the same transactions (counted
-        per node) at the same instants on every engine."""
-        fast, digest_fast = _run_paced("fast", limit=4, batch=8)
-        par, digest_par = _run_paced("shard_parallel", limit=4, batch=8)
-        assert fast.evicted > 0
-        assert par.evicted == fast.evicted
-        assert digest_par == digest_fast
-        assert par.confirmed_count() == fast.confirmed_count()
-        assert par.duration == fast.duration
+        per node) at the same instants on every run."""
+        first, digest = _run_paced("fast", limit=4, batch=8)
+        assert first.evicted > 0
+        assert digest == BASELINES["paced-evicting"]
         again, digest_again = _run_paced("fast", limit=4, batch=8)
-        assert again.evicted == fast.evicted
-        assert digest_again == digest_fast
+        assert again.evicted == first.evicted
+        assert again.duration == first.duration
+        assert digest_again == digest
 
     def test_defer_events_present_under_backpressure(self):
         __, __digest = _run_paced("fast", limit=4, batch=8)
@@ -212,6 +189,23 @@ class TestStreamingRefusals:
         )
         with pytest.raises(WorkloadError, match="cap"):
             big.materialize()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("inject_batch", 0),
+            ("inject_interval", 0.0),
+            ("mempool_limit", 0),
+            ("max_events", 0),
+            ("block_capacity", 0),
+            ("retransmit_interval", 0.0),
+            ("retransmit_interval", -2.0),
+            ("retransmit_blocks", -1),
+        ],
+    )
+    def test_bad_numeric_field_refused_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ProtocolConfig(**{field: value})
 
     def test_oversized_stream_without_pacing_refused(self):
         big = streaming_uniform_contract_workload(

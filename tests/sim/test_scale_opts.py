@@ -5,8 +5,8 @@ True; setting either to False keeps the pre-optimization per-event code
 as a differential oracle. These tests hold the optimized engines to the
 *recorded* ``seed_digests.json`` baselines with the optimizations
 disabled (proving the oracle paths are still the historical stream) and
-to bit-identical digests oracle-vs-optimized on the fast and
-shard-parallel engines, list and paced-stream workloads alike — plus
+to bit-identical digests oracle-vs-optimized on the fast engine, list
+and paced-stream workloads alike — plus
 the heap-footprint claim (``scheduler.peak_pending`` collapses under
 waves + calendar).
 """
@@ -20,7 +20,6 @@ from repro.consensus.miner import MinerIdentity
 from repro.consensus.pow import PoWParameters
 from repro.faults.plan import FaultPlan
 from repro.observe import Tracer
-from repro.runtime.shard_workers import fork_available
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import (
     streaming_uniform_contract_workload,
@@ -43,7 +42,6 @@ def _simulate(
     engine,
     unified=False,
     faulty=False,
-    workers=None,
     stream=False,
     paced=False,
     **options,
@@ -64,7 +62,6 @@ def _simulate(
     config = ProtocolConfig(
         seed=SEED,
         engine=engine,
-        shard_workers=workers,
         trace=tracer,
         max_duration=5000.0,
         fault_plan=plan,
@@ -90,13 +87,6 @@ class TestOracleBaselineParity:
         __, __result, digest = _simulate("fast", **PROFILES[profile], **ORACLE)
         assert digest == BASELINES[profile]
 
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_shard_parallel_oracle_matches_recorded_baseline(self, profile):
-        __, __result, digest = _simulate(
-            "shard_parallel", **PROFILES[profile], **ORACLE
-        )
-        assert digest == BASELINES[profile]
-
 
 class TestOptimizedVsOracle:
     """Each optimization alone, and both together, change nothing."""
@@ -110,13 +100,13 @@ class TestOptimizedVsOracle:
         ],
         ids=["calendar-only", "waves-only", "both"],
     )
-    @pytest.mark.parametrize("engine", ["fast", "shard_parallel"])
+    @pytest.mark.parametrize("engine", ["fast"])
     def test_digest_matches_oracle(self, engine, options):
         __, __r, oracle = _simulate(engine, **ORACLE)
         __, __r, optimized = _simulate(engine, **options)
         assert optimized == oracle == BASELINES["clean"]
 
-    @pytest.mark.parametrize("engine", ["fast", "shard_parallel"])
+    @pytest.mark.parametrize("engine", ["fast"])
     def test_faulty_digest_matches_oracle(self, engine):
         # Faulty sends take the per-event path; waves must still cover
         # the fault-free remainder without disturbing the stream.
@@ -124,17 +114,11 @@ class TestOptimizedVsOracle:
         __, __r, optimized = _simulate(engine, faulty=True)
         assert optimized == oracle == BASELINES["faulty"]
 
-    @pytest.mark.parametrize("engine", ["fast", "shard_parallel"])
+    @pytest.mark.parametrize("engine", ["fast"])
     def test_paced_stream_digest_matches_oracle(self, engine):
         __, __r, oracle = _simulate(engine, paced=True, **ORACLE)
         __, __r, optimized = _simulate(engine, paced=True)
         assert optimized == oracle
-
-    @pytest.mark.skipif(not fork_available(), reason="fork backend unavailable")
-    def test_fork_backend_digest_matches_oracle(self):
-        __, __r, oracle = _simulate("shard_parallel", workers=3, **ORACLE)
-        __, __r, optimized = _simulate("shard_parallel", workers=3)
-        assert optimized == oracle == BASELINES["clean"]
 
 
 class TestHeapFootprint:
@@ -165,8 +149,3 @@ class TestHeapFootprint:
         assert record.wall["peak_pending"] == sim_opt.scheduler.peak_pending
         gauge = result_opt.trace.metrics.gauge("scheduler.peak_pending")
         assert gauge.value == sim_opt.scheduler.peak_pending
-
-    def test_shard_parallel_reports_peak_pending(self):
-        __, result, __d = _simulate("shard_parallel")
-        record = result.trace.records_named("run.complete")[0]
-        assert record.wall["peak_pending"] > 0
