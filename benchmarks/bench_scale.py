@@ -1,8 +1,6 @@
 """Scale bench: wave-scheduled broadcasts + per-shard mining calendars.
 
-Three legs, each pinned to the differential oracle
-(``delivery_waves=False, mining_calendar=False`` — the per-event code
-the optimizations replaced):
+Two legs:
 
 * **Sweep** — miners × txs grid up to 2048 miners with the optimizations
   on. Per-miner difficulty scales linearly with the miner count so the
@@ -10,16 +8,6 @@ the optimizations replaced):
   how event throughput and the physical heap footprint
   (``scheduler.peak_pending``) respond to fan-out, not to a changing
   offered load.
-* **Speedup** — a broadcast-heavy WAN profile (1024 miners,
-  minute-scale block propagation, so millions of deliveries are in
-  flight at once). The oracle pays one heap push + one eager
-  ``Event`` per recipient per block while the wave path keeps one heap
-  entry per broadcast and materializes ``Message`` objects lazily at
-  delivery. Digest parity (wave vs. oracle) is asserted on a
-  scaled-down traced twin of the profile **before** any timing, and the
-  timed pair must fire the exact same event count — so the speedup
-  compares identical logical work. Full mode gates
-  ``speedup >= 3`` and a ``>= 10x`` drop in ``peak_pending``.
 * **Million** — a 10^6-tx streamed campaign over 1024 miners in 64
   shards (subprocess-isolated so ``ru_maxrss`` is the run's own), which
   must complete under the CI job's 4 GiB address-space ceiling. The
@@ -33,10 +21,12 @@ the optimizations replaced):
   measure the engine, not an ever-growing address book.
 
 ``--quick`` (the CI scale-smoke profile) shrinks every leg and records
-throughput and speedup under informational keys, so a smoke run on a
-cold shared runner is never compared against the committed full-scale
-baseline. Full mode records ``events_per_s`` (million leg) and
-``speedup`` as the tracked observatory metrics.
+throughput under an informational key, so a smoke run on a cold shared
+runner is never compared against the committed full-scale baseline.
+Full mode records ``events_per_s`` (million leg) as the tracked
+observatory metric. The broadcast-heavy WAN profile (1024 miners,
+minute-scale propagation) is timed end to end by the ``wan-1024``
+workload of ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -67,26 +57,6 @@ SWEEP_HORIZON = 30.0
 #: miners/SWEEP_BASE_MINERS so the aggregate rate stays ~4.3 blocks/s.
 SWEEP_BASE_MINERS = 256
 SWEEP_BASE_INTERVAL = 60.0
-
-#: Speedup leg: the broadcast-heavy WAN profile (full / quick). Block
-#: propagation takes 1–2.5 minutes while blocks arrive every ~39 ms
-#: network-wide, so millions of deliveries are in flight at once — the
-#: regime the wave path exists for (the oracle holds one heap entry +
-#: one eager ``Event`` per pending delivery; the wave holds one entry
-#: per broadcast).
-HEAVY_MINERS_FULL = 1024
-HEAVY_MINERS_QUICK = 256
-HEAVY_HORIZON_FULL = 80.0
-HEAVY_HORIZON_QUICK = 60.0
-HEAVY_INTERVAL = 40.0  # per-miner expected block interval, seconds
-HEAVY_LATENCY = (60.0, 90.0)  # base, jitter: minute-scale propagation
-HEAVY_TXS = 50
-#: Traced parity twin of the heavy profile (same shape, smaller).
-PARITY_MINERS = 128
-PARITY_HORIZON = 40.0
-
-SPEEDUP_FLOOR = 3.0
-PEAK_DROP_FLOOR = 10.0
 
 #: Million leg: streamed campaign topology (full / quick).
 MILLION_TXS_FULL = 1_000_000
@@ -135,8 +105,6 @@ MILLION_SENDERS_PER_SHARD = 512
 MILLION_MAX_EVENTS = 100_000_000
 
 RSS_LIMIT_KB = 4 * 1024 * 1024  # the CI job's 4 GiB ulimit, in KiB
-
-ORACLE = {"delivery_waves": False, "mining_calendar": False}
 
 
 def _identities(count: int):
@@ -202,16 +170,8 @@ def _covered_assignment(identities, fractions):
 # ----------------------------------------------------------------------
 # sweep leg
 # ----------------------------------------------------------------------
-def _horizon_run(
-    miners: int,
-    horizon: float,
-    interval: float,
-    latency=None,
-    trace=None,
-    **options,
-):
-    """One run-to-horizon broadcast profile; returns (sim, result, wall)."""
-    from repro.net.network import LatencyModel
+def _horizon_run(miners: int, horizon: float, interval: float):
+    """One run-to-horizon broadcast profile; returns (sim, wall)."""
     from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
     from repro.workloads.generators import uniform_contract_workload
 
@@ -220,29 +180,22 @@ def _horizon_run(
     )
     config = ProtocolConfig(
         seed=SEED,
-        trace=trace if trace is not None else False,
+        trace=False,
         max_duration=horizon,
         run_to_horizon=True,
         pow_params=_interval_params(interval),
-        latency=(
-            LatencyModel(base_seconds=latency[0], jitter_seconds=latency[1])
-            if latency
-            else LatencyModel()
-        ),
-        **options,
     )
     sim = ProtocolSimulation(_identities(miners), workload, config=config)
     start = time.perf_counter()
-    result = sim.run()
-    wall = time.perf_counter() - start
-    return sim, result, wall
+    sim.run()
+    return sim, time.perf_counter() - start
 
 
 def _sweep(points, quick: bool) -> list[dict]:
     rows = []
     for miners in points:
         interval = SWEEP_BASE_INTERVAL * miners / SWEEP_BASE_MINERS
-        sim, __, wall = _horizon_run(miners, SWEEP_HORIZON, interval)
+        sim, wall = _horizon_run(miners, SWEEP_HORIZON, interval)
         rows.append(
             {
                 "miners": miners,
@@ -252,78 +205,13 @@ def _sweep(points, quick: bool) -> list[dict]:
                 "peak_pending": sim.scheduler.peak_pending,
                 # Informational even in full mode: per-point wall times
                 # on a grid this small are machine noise; the tracked
-                # numbers live on the other two legs.
+                # number lives on the million leg.
                 "events_per_s_informational": round(
                     sim.scheduler.events_fired / max(wall, 1e-9), 1
                 ),
             }
         )
     return rows
-
-
-# ----------------------------------------------------------------------
-# speedup leg
-# ----------------------------------------------------------------------
-def _parity_gate() -> dict:
-    """Traced wave-vs-oracle digests on a scaled-down heavy profile."""
-    from repro.observe import Tracer
-
-    digests = {}
-    for label, options in (("wave", {}), ("oracle", ORACLE)):
-        tracer = Tracer()
-        _horizon_run(
-            PARITY_MINERS,
-            PARITY_HORIZON,
-            HEAVY_INTERVAL,
-            latency=HEAVY_LATENCY,
-            trace=tracer,
-            **options,
-        )
-        digests[label] = tracer.digest()
-    return {
-        "miners": PARITY_MINERS,
-        "horizon_s": PARITY_HORIZON,
-        "digests_agree": digests["wave"] == digests["oracle"],
-        "trace_digest": digests["wave"],
-        "digests": digests,
-    }
-
-
-def _speedup_leg(quick: bool) -> dict:
-    miners = HEAVY_MINERS_QUICK if quick else HEAVY_MINERS_FULL
-    horizon = HEAVY_HORIZON_QUICK if quick else HEAVY_HORIZON_FULL
-    runs = {}
-    for label, options in (("wave", {}), ("oracle", ORACLE)):
-        sim, __, wall = _horizon_run(
-            miners, horizon, HEAVY_INTERVAL, latency=HEAVY_LATENCY,
-            **options,
-        )
-        runs[label] = {
-            "wall_s": round(wall, 4),
-            "events_fired": sim.scheduler.events_fired,
-            "peak_pending": sim.scheduler.peak_pending,
-            "events_per_s_informational": round(
-                sim.scheduler.events_fired / max(wall, 1e-9), 1
-            ),
-        }
-    speedup = round(runs["oracle"]["wall_s"] / max(runs["wave"]["wall_s"], 1e-9), 3)
-    peak_drop = round(
-        runs["oracle"]["peak_pending"] / max(runs["wave"]["peak_pending"], 1), 1
-    )
-    return {
-        "miners": miners,
-        "horizon_s": horizon,
-        "latency_base_s": HEAVY_LATENCY[0],
-        "latency_jitter_s": HEAVY_LATENCY[1],
-        "runs": runs,
-        "identical_events": (
-            runs["wave"]["events_fired"] == runs["oracle"]["events_fired"]
-        ),
-        ("speedup_informational" if quick else "speedup"): speedup,
-        "peak_pending_drop": peak_drop,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "peak_drop_floor": PEAK_DROP_FLOOR,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -425,9 +313,7 @@ def _run_isolated(total: int, miners: int) -> dict:
 
 
 def run_bench(quick: bool = False) -> dict:
-    parity = _parity_gate()
     sweep = _sweep(SWEEP_MINERS_QUICK if quick else SWEEP_MINERS_FULL, quick)
-    speedup = _speedup_leg(quick)
     million = _run_isolated(
         MILLION_TXS_QUICK if quick else MILLION_TXS_FULL,
         MILLION_MINERS_QUICK if quick else MILLION_MINERS_FULL,
@@ -438,9 +324,7 @@ def run_bench(quick: bool = False) -> dict:
     return {
         "quick": quick,
         "seed": SEED,
-        "parity": parity,
         "sweep": sweep,
-        "speedup_profile": speedup,
         "million": million,
         "rss_limit_kb": RSS_LIMIT_KB,
         "rss_under_limit": million["peak_rss_kb"] < RSS_LIMIT_KB,
@@ -478,19 +362,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['miners']:>7} {row['wall_s']:>8.2f} "
             f"{row['events_fired']:>10} {row['peak_pending']:>12}"
         )
-    heavy = payload["speedup_profile"]
-    speedup_key = (
-        "speedup_informational" if "speedup_informational" in heavy
-        else "speedup"
-    )
     million = payload["million"]
-    print(
-        f"heavy profile ({heavy['miners']} miners): "
-        f"wave {heavy['runs']['wave']['wall_s']:.2f}s vs oracle "
-        f"{heavy['runs']['oracle']['wall_s']:.2f}s -> {speedup_key} "
-        f"{heavy[speedup_key]}x | peak_pending drop "
-        f"{heavy['peak_pending_drop']}x"
-    )
     print(
         f"million leg: {million['total_txs']} txs / {million['miners']} "
         f"miners in {million['wall_s']:.1f}s, peak RSS "
@@ -499,12 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     failed = False
-    if not payload["parity"]["digests_agree"]:
-        print("FAIL: wave-vs-oracle digest parity broke", payload["parity"])
-        failed = True
-    if not heavy["identical_events"]:
-        print("FAIL: timed runs fired different event counts", heavy["runs"])
-        failed = True
     if not payload["rss_under_limit"]:
         print(
             f"FAIL: million leg peak RSS {million['peak_rss_kb']} KiB "
@@ -518,20 +384,6 @@ def main(argv: list[str] | None = None) -> int:
             f"FAIL: only {million['confirmed']} of "
             f"{million['total_txs']} streamed txs confirmed "
             f"(min shard miners: {million['min_shard_miners']})"
-        )
-        failed = True
-    if heavy["peak_pending_drop"] < PEAK_DROP_FLOOR:
-        print(
-            f"FAIL: peak_pending dropped only "
-            f"{heavy['peak_pending_drop']}x (floor {PEAK_DROP_FLOOR}x)"
-        )
-        failed = True
-    if not args.quick and heavy.get("speedup", 0.0) < SPEEDUP_FLOOR:
-        # Quick mode records speedup informationally: a cold shared CI
-        # runner's ratio is context, not the acceptance number.
-        print(
-            f"FAIL: speedup {heavy.get('speedup')}x is under the "
-            f"{SPEEDUP_FLOOR}x floor"
         )
         failed = True
     return 1 if failed else 0

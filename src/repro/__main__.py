@@ -9,10 +9,10 @@ Usage::
 
     python -m repro run fig3a --progress  # live heartbeat line on stderr
 
-    python -m repro trace record out.jsonl --engine fast --seed 7
+    python -m repro trace record out.jsonl --seed 7
     python -m repro trace record out.jsonl --heartbeat 25 --shard-stats s.json
     python -m repro trace profile out.jsonl
-    python -m repro trace diff fast.jsonl legacy.jsonl
+    python -m repro trace diff run-a.jsonl run-b.jsonl
     python -m repro trace digest out.jsonl
     python -m repro trace shards s.json   # shard-load report + imbalance
 
@@ -135,7 +135,6 @@ def _trace_record(args) -> int:
         latency=LatencyModel(base_seconds=0.01, jitter_seconds=0.01),
         seed=args.seed,
         max_duration=5_000.0,
-        engine=args.engine,
         trace=tracer,
         fault_plan=(
             FaultPlan.lossy(0.08, duplicate_probability=0.05)
@@ -160,7 +159,7 @@ def _trace_record(args) -> int:
         records = len(trace)
     print(
         f"recorded {records} records to {target} "
-        f"(engine={args.engine}, seed={args.seed}, "
+        f"(seed={args.seed}, "
         f"confirmed={result.confirmed_count()})"
     )
     print(f"digest {trace.digest()}")
@@ -241,7 +240,7 @@ def _scenario_run(args) -> int:
     from repro.scenarios import get_scenario, run_scenario
 
     scenario = get_scenario(args.name)
-    outcome = run_scenario(scenario, seed=args.seed, engine=args.engine)
+    outcome = run_scenario(scenario, seed=args.seed)
     report = outcome.report.as_dict()
     extras = report.pop("extras")
     for key, value in report.items():
@@ -287,7 +286,6 @@ def _scenario_sweep(args) -> int:
         points=points,
         trials=args.trials,
         seed=args.seed,
-        engine=args.engine,
     )
     print(render_sweep(results))
     if args.json:
@@ -402,9 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "record", help="record one seeded protocol run's trace"
     )
     record.add_argument("output", help="JSONL output path")
-    record.add_argument(
-        "--engine", choices=("fast", "legacy"), default="fast"
-    )
     record.add_argument("--seed", type=int, default=7)
     record.add_argument(
         "--miners",
@@ -517,9 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument("name", help="scenario name (see 'scenario list')")
     scenario_run.add_argument("--seed", type=int, default=0)
     scenario_run.add_argument(
-        "--engine", choices=("fast", "legacy"), default="fast"
-    )
-    scenario_run.add_argument(
         "--trace", metavar="PATH", help="dump the run's JSONL trace here"
     )
     scenario_run.add_argument(
@@ -534,9 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=120, help="trials per grid point"
     )
     scenario_sweep.add_argument("--seed", type=int, default=0)
-    scenario_sweep.add_argument(
-        "--engine", choices=("fast", "legacy"), default="fast"
-    )
     scenario_sweep.add_argument(
         "--points",
         metavar="M:F,...",

@@ -233,7 +233,7 @@ class Ledger:
         Returns the ledger's incrementally-maintained view; treat it as
         read-only (copy before mutating). The full-walk implementation
         survives as :meth:`confirmed_tx_ids_scan`, the differential
-        oracle and the legacy engine's code path.
+        oracle.
         """
         return self._confirmed_ids
 

@@ -13,7 +13,7 @@ insertion on :meth:`add`, and invalidated *lazily* on removal (selection
 skips entries that left the pool; the view is compacted once more than
 half of it is stale). The uncached sort survives as
 :meth:`select_by_fee_sorted`, the differential oracle the mempool tests
-compare against, and the code path the legacy protocol engine uses.
+compare against.
 
 Streaming campaigns bound the pool: ``limit=`` caps the resident
 transaction count, and admission beyond it evicts the lowest-fee
@@ -39,22 +39,16 @@ def _fee_rank(tx: Transaction) -> tuple[int, str]:
 class Mempool:
     """An ordered pool of pending transactions.
 
-    ``fee_cache=False`` disables the ranked-view cache and routes
-    :meth:`select_by_fee` through the original full sort — used by the
-    legacy protocol engine so benchmark baselines measure the shipped
-    pre-optimization behavior.
-
     ``limit`` bounds the resident pool (``None`` = unbounded). The
     eviction rule is deterministic — drop the worst ``(-fee, tx_id)``
     entry, which may be the incoming transaction itself — so two nodes
     seeing the same admission sequence hold the same pool.
     """
 
-    def __init__(self, fee_cache: bool = True, limit: int | None = None) -> None:
+    def __init__(self, limit: int | None = None) -> None:
         if limit is not None and limit <= 0:
             raise ConfigError(f"mempool limit must be positive: got {limit}")
         self._pool: dict[str, Transaction] = {}
-        self._fee_cache = fee_cache
         self._limit = limit
         #: How many admissions the bound turned away (evicted resident
         #: or refused incoming) — surfaced as ``ProtocolResult.evicted``.
@@ -212,8 +206,6 @@ class Mempool:
         """
         if limit < 0:
             raise ValueError("selection limit must be non-negative")
-        if not self._fee_cache:
-            return self.select_by_fee_sorted(limit)
         ranked = self._ranked
         if ranked is None:
             ranked = self._ranked = sorted(self._pool.values(), key=_fee_rank)

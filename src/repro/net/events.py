@@ -32,9 +32,8 @@ built for throughput:
   entries while the standing heap footprint per in-flight broadcast is
   O(1).
 
-The pre-optimization engine survives as
-:class:`repro.net.legacy.LegacyScheduler` and is held to bit-identical
-behavior by the engine-parity tests.
+The recorded ``tests/sim/seed_digests.json`` digests pin the resulting
+event order.
 """
 
 from __future__ import annotations
@@ -388,16 +387,18 @@ class Scheduler:
             if until is not None and next_time > until:
                 self._now = until
                 return self._now
+            # Checked before the pop, not after the fire: a run that
+            # finishes in exactly ``max_events`` events is within budget.
+            if fired >= max_events:
+                raise SimulationError(
+                    f"event budget exhausted after {max_events} events"
+                )
             event = queue.pop()
             assert event is not None
             self._now = event.time
             event.callback(*event.args)
             self._events_fired += 1
             fired += 1
-            if fired >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted after {max_events} events"
-                )
         if until is not None and until > self._now:
             self._now = until
         return self._now

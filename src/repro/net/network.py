@@ -101,10 +101,12 @@ class Network:
     **RNG draw-order contract.** The latency RNG is consumed in exactly
     one order: one draw per scheduled recipient, in recipient order
     (registration order for :meth:`broadcast`, list order for
-    :meth:`multicast`). The fan-out fast paths pre-sample that latency
+    :meth:`multicast`). Fault-free fan-outs pre-sample that latency
     vector in a single pass and must never reorder or batch draws
-    differently — the engine-parity tests pin this against the
-    pre-optimization :class:`repro.net.legacy.LegacyNetwork`.
+    differently — the recorded seed digests pin this, and a no-op
+    :class:`~repro.faults.plan.FaultPlan` (every send through
+    :meth:`send`) is the per-send reference the wave path is tested
+    against.
     """
 
     def __init__(
@@ -113,17 +115,11 @@ class Network:
         latency: LatencyModel | None = None,
         seed: int | None = None,
         faults: "FaultModel | None" = None,
-        waves: bool = True,
     ) -> None:
         self._scheduler = scheduler
         self._latency = latency or LatencyModel()
         self._rng = random.Random(seed)
         self._faults = faults
-        #: Wave scheduling for the fault-free fan-out fast paths: one
-        #: self-re-arming DeliveryWave heap entry per broadcast instead
-        #: of one push + Message per recipient. ``waves=False`` keeps
-        #: the per-event path as the differential oracle.
-        self._waves = waves
         self._nodes: dict[str, "Node"] = {}
         self.messages_delivered = 0
         self.cross_shard_messages = 0
@@ -183,43 +179,49 @@ class Network:
         """Send a payload to every node except the sender.
 
         Returns the number of sends actually scheduled (the fault layer
-        may swallow some). Without a fault model this takes the fan-out
-        fast path: the shared payload is wrapped once per recipient and
-        scheduled against a pre-sampled latency vector, with bound-method
-        dispatch instead of a closure per send.
+        may swallow some).
+        """
+        recipients = [nid for nid in self._nodes if nid != sender]
+        return self._fan_out(message_kind, sender, payload, recipients, shard_id)
+
+    def multicast(self, message_kind: MessageKind, sender: str, payload: object,
+                  recipients: list[str], shard_id: int | None = None) -> int:
+        """Send a payload to an explicit recipient list; returns sends made.
+
+        The sender is skipped and does not count toward the fan-out. The
+        whole list is validated before anything is sent, so an unknown
+        recipient schedules no delivery and draws no latency.
+        """
+        actual = [nid for nid in recipients if nid != sender]
+        for recipient in actual:
+            if recipient not in self._nodes:
+                raise NetworkError(
+                    f"unknown recipient {recipient} in "
+                    f"{message_kind.name} multicast from {sender}"
+                )
+        return self._fan_out(message_kind, sender, payload, actual, shard_id)
+
+    def _fan_out(self, message_kind: MessageKind, sender: str, payload: object,
+                 recipients: list[str], shard_id: int | None) -> int:
+        """Send to known ``recipients`` in order; returns sends scheduled.
+
+        Fault-free fan-outs are one :class:`~repro.net.events.DeliveryWave`
+        against a pre-sampled latency vector, with each ``Message`` built
+        only when its delivery pops. Under a fault model every recipient
+        goes through :meth:`send` so the model can filter it.
         """
         if self._faults is None:
             nodes = self._nodes
-            recipients = [nid for nid in nodes if nid != sender]
+            now = self._scheduler.now
             delays = self._latency.sample_many(self._rng, len(recipients))
-            if self._waves and len(recipients) > 1:
-                now = self._scheduler.now
-                self._scheduler.schedule_wave(
-                    [now + delay for delay in delays],
-                    [nodes[recipient] for recipient in recipients],
-                    self._wave_emit(message_kind, sender, payload, shard_id),
-                )
-                return len(recipients)
-            schedule = self._scheduler.schedule_in
-            deliver = self._deliver
-            for recipient, delay in zip(recipients, delays):
-                schedule(
-                    delay,
-                    deliver,
-                    nodes[recipient],
-                    Message(
-                        kind=message_kind,
-                        sender=sender,
-                        recipient=recipient,
-                        payload=payload,
-                        shard_id=shard_id,
-                    ),
-                )
+            self._scheduler.schedule_wave(
+                [now + delay for delay in delays],
+                [nodes[recipient] for recipient in recipients],
+                self._wave_emit(message_kind, sender, payload, shard_id),
+            )
             return len(recipients)
         sent = 0
-        for recipient in self._nodes:
-            if recipient == sender:
-                continue
+        for recipient in recipients:
             sent += self.send(
                 Message(
                     kind=message_kind,
@@ -253,71 +255,6 @@ class Network:
             )
 
         return emit
-
-    def multicast(self, message_kind: MessageKind, sender: str, payload: object,
-                  recipients: list[str], shard_id: int | None = None) -> int:
-        """Send a payload to an explicit recipient list; returns sends made.
-
-        The sender is skipped and does not count toward the fan-out.
-        Fault-free sends take the same pre-sampled fast path as
-        :meth:`broadcast`, preserving the per-recipient draw order.
-        """
-        if self._faults is None:
-            nodes = self._nodes
-            actual = [nid for nid in recipients if nid != sender]
-            targets = []
-            for recipient in actual:
-                try:
-                    targets.append(nodes[recipient])
-                except KeyError:
-                    raise NetworkError(
-                        f"unknown recipient {recipient} in "
-                        f"{message_kind.name} multicast from {sender}"
-                    ) from None
-            delays = self._latency.sample_many(self._rng, len(actual))
-            if self._waves and len(actual) > 1:
-                now = self._scheduler.now
-                self._scheduler.schedule_wave(
-                    [now + delay for delay in delays],
-                    targets,
-                    self._wave_emit(message_kind, sender, payload, shard_id),
-                )
-                return len(actual)
-            schedule = self._scheduler.schedule_in
-            deliver = self._deliver
-            for recipient, target, delay in zip(actual, targets, delays):
-                schedule(
-                    delay,
-                    deliver,
-                    target,
-                    Message(
-                        kind=message_kind,
-                        sender=sender,
-                        recipient=recipient,
-                        payload=payload,
-                        shard_id=shard_id,
-                    ),
-                )
-            return len(actual)
-        sent = 0
-        for recipient in recipients:
-            if recipient == sender:
-                continue
-            if recipient not in self._nodes:
-                raise NetworkError(
-                    f"unknown recipient {recipient} in "
-                    f"{message_kind.name} multicast from {sender}"
-                )
-            sent += self.send(
-                Message(
-                    kind=message_kind,
-                    sender=sender,
-                    recipient=recipient,
-                    payload=payload,
-                    shard_id=shard_id,
-                )
-            )
-        return sent
 
     def _deliver(self, target: "Node", message: Message) -> None:
         if self._faults is not None and not self._faults.filter_delivery(

@@ -13,9 +13,8 @@ The world-state bookkeeping is **tip-delta**: every applied canonical
 block leaves a :class:`~repro.chain.state.BlockUndo` journal entry, so a
 reorg unwinds only the losing branch and applies only the winning one —
 O(reorg depth) instead of the old replay-from-genesis O(chain) rebuild.
-The replay survives as :meth:`_rebuild_canonical_state`, the
-differential oracle (``fast_paths=False`` routes every reorg through
-it, which is what the legacy benchmark engine measures).
+The replay survives only as :meth:`FullNode.state_oracle_fingerprint`,
+the reference the differential tests compare the live state against.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ class FullNode(Node):
         "_packet_commitment",
         "_orphans",
         "_orphan_count",
-        "_fast_paths",
         "_applied",
         "_applied_index",
         "on_pooled",
@@ -117,18 +115,17 @@ class FullNode(Node):
         state: WorldState | None = None,
         selection_replay: object | None = None,
         packet_commitment: str | None = None,
-        fast_paths: bool = True,
         mempool_limit: int | None = None,
     ) -> None:
         self.identity = identity
         self.shard_id = shard_id
         self._behavior_overridden = behavior is not None
         self.behavior = behavior or HonestBehavior()
-        self.mempool = Mempool(fee_cache=fast_paths, limit=mempool_limit)
+        self.mempool = Mempool(limit=mempool_limit)
         self.ledger = Ledger(shard_id=shard_id)
         self.state = state if state is not None else WorldState()
-        # Pre-genesis snapshot: the base for rebuilding the flat state
-        # whenever a reorg rewrites the canonical history.
+        # Pre-genesis snapshot: the base of the from-scratch replay
+        # that state_oracle_fingerprint checks the live state against.
         self._pristine_state = self.state.snapshot()
         self.callgraph = CallGraph()
         self.stats = NodeStats()
@@ -150,7 +147,6 @@ class FullNode(Node):
         self._orphan_count = 0
         # Tip-delta state: the applied canonical suffix as (hash, undo)
         # pairs plus a hash -> position index for O(1) fork-point lookup.
-        self._fast_paths = fast_paths
         self._applied: list[tuple[str, BlockUndo]] = []
         self._applied_index: dict[str, int] = {}
         # Lineage hook: called as ``on_pooled(node, tx)`` whenever a
@@ -253,10 +249,7 @@ class FullNode(Node):
                 {tx.tx_id for tx in block.transactions}
             )
         elif new_head != old_head:
-            if self._fast_paths:
-                self._apply_reorg(new_head)
-            else:
-                self._rebuild_canonical_state()
+            self._apply_reorg(new_head)
         # A side-branch block leaves the state untouched: the flat state
         # tracks the canonical chain only, otherwise transactions confirmed
         # on a losing branch would poison sender nonces and never mine.
@@ -265,11 +258,6 @@ class FullNode(Node):
 
     def _apply_canonical_block(self, block: Block) -> None:
         """Apply one block at the tip, journaling its inverse."""
-        if not self._fast_paths:
-            self.state.apply_block_body(
-                block.transactions, miner=block.header.miner
-            )
-            return
         undo = BlockUndo()
         self.state.apply_block_body(
             block.transactions, miner=block.header.miner, journal=undo
@@ -280,12 +268,11 @@ class FullNode(Node):
     def _apply_reorg(self, new_head: str) -> None:
         """Tip-delta reorg: unwind to the fork point, apply the winner.
 
-        Behaviorally identical to :meth:`_rebuild_canonical_state` (the
-        differential oracle) but touches only the branch delta: undo
-        journals revert the losing suffix, then the winning suffix is
-        applied in order. Mempool semantics match the oracle — newly
-        canonical transactions are de-pooled, reverted ones are *not*
-        re-pooled (the replay never re-added them either).
+        Behaviorally identical to a replay from genesis (see
+        :meth:`state_oracle_fingerprint`) but touches only the branch
+        delta: undo journals revert the losing suffix, then the winning
+        suffix is applied in order. Newly canonical transactions are
+        de-pooled; reverted ones are *not* re-pooled.
         """
         ledger = self.ledger
         index = self._applied_index
@@ -315,25 +302,6 @@ class FullNode(Node):
             index[block.block_hash] = len(applied)
             applied.append((block.block_hash, undo))
             confirmed.update(tx.tx_id for tx in block.transactions)
-        self.mempool.remove_confirmed(confirmed)
-
-    def _rebuild_canonical_state(self) -> None:
-        """Re-derive the world state from the canonical chain after a reorg.
-
-        The pre-optimization full replay, kept as the differential
-        oracle for :meth:`_apply_reorg` (and as the live code path when
-        ``fast_paths=False``).
-        """
-        state = self._pristine_state.snapshot()
-        confirmed: set[str] = set()
-        for canonical in self.ledger.canonical_chain():
-            if not canonical.transactions:
-                continue
-            state.apply_block_body(
-                canonical.transactions, miner=canonical.header.miner
-            )
-            confirmed.update(tx.tx_id for tx in canonical.transactions)
-        self.state = state
         self.mempool.remove_confirmed(confirmed)
 
     def state_oracle_fingerprint(self) -> str:
@@ -461,15 +429,9 @@ class FullNode(Node):
             parent_hash = fork_parent
             height = self.ledger.block(fork_parent).header.height + 1
         # Copy-on-write overlay: the speculation touches O(packed)
-        # accounts, so deep-copying the whole world per forge (the old
-        # `snapshot()` call) is pure waste — and at streaming scales it
-        # dominated the run. The legacy engine keeps the full snapshot
-        # as the differential oracle.
-        speculative = (
-            self.state.speculative_view()
-            if self._fast_paths
-            else self.state.snapshot()
-        )
+        # accounts, so deep-copying the whole world per forge is pure
+        # waste — and at streaming scales it dominated the run.
+        speculative = self.state.speculative_view()
         packable: list[Transaction] = []
         progress = True
         while progress and len(packable) < capacity and candidates:

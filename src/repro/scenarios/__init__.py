@@ -4,8 +4,8 @@ The library (:mod:`repro.scenarios.library`) ships five attacks —
 shard takeover, cross-shard double spend, fee griefing, eclipse-lite,
 and adaptive identity grinding — each compiling to miners + workload +
 adversary behaviors + (optionally) a fault plan, executed by the
-unmodified protocol engine on either the fast or the legacy path, and
-reduced to a schema-stable :class:`DetectionReport`.
+unmodified protocol engine, and reduced to a schema-stable
+:class:`DetectionReport`.
 
 :mod:`repro.scenarios.overlay` closes the loop with the paper's math:
 it measures Eq. 3's shard-corruption probability from live takeover

@@ -3,10 +3,10 @@
 A :class:`Scenario` is a deterministic recipe: ``build(seed)`` compiles
 it into a :class:`ScenarioRun` (miners + workload + config + adversary
 behaviors + optional fault plan), and :func:`run_scenario` executes that
-through the unmodified :class:`~repro.sim.ProtocolSimulation` — fast or
-legacy engine — with lineage tracing on, then asks the scenario to
-``detect`` what happened. Same (scenario, seed, engine) ⇒ the same
-trace digest and the same :class:`DetectionReport`.
+through the unmodified :class:`~repro.sim.ProtocolSimulation` with
+lineage tracing on, then asks the scenario to ``detect`` what happened.
+Same (scenario, seed) ⇒ the same trace digest and the same
+:class:`DetectionReport`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ class ScenarioRun:
     victim_node: str | None = None
     # Simulated times at which run_scenario samples every node's chain
     # height and confirmed count (read-only probes; they emit no trace
-    # events and schedule identically on both engines, so digests are
-    # unaffected).
+    # events, so digests are unaffected).
     probe_times: tuple[float, ...] = ()
     notes: dict = field(default_factory=dict)
 
@@ -127,18 +126,14 @@ class Scenario(abc.ABC):
 def run_scenario(
     scenario: Scenario,
     seed: int = 0,
-    engine: str = "fast",
 ) -> ScenarioOutcome:
     """Build, execute and analyze one scenario run.
 
     Lineage tracing is always on (detection metrics need ``tx.seen`` /
-    ``tx.confirmed`` / ``tx.reverted`` / ``block.rejected``), and the
-    requested engine replaces whatever the scenario's config said — the
-    determinism tests run the same scenario on both engines and compare
-    digests.
+    ``tx.confirmed`` / ``tx.reverted`` / ``block.rejected``).
     """
     run = scenario.build(seed)
-    config = dataclasses.replace(run.config, engine=engine, trace=Tracer(lineage=True))
+    config = dataclasses.replace(run.config, trace=Tracer(lineage=True))
     sim = ProtocolSimulation(
         run.miners,
         run.transactions,
@@ -169,9 +164,9 @@ def run_scenario(
 
         return _probe
 
-    # Probes are scheduled before run() so they enter the queue in the
-    # same deterministic order on both engines; they read ledger state
-    # and emit nothing, leaving the trace digest untouched.
+    # Probes are scheduled before run() so they enter the queue in a
+    # deterministic order; they read ledger state and emit nothing,
+    # leaving the trace digest untouched.
     for when in run.probe_times:
         sim.scheduler.schedule_in(when, _probe_at(when))
 
@@ -181,7 +176,7 @@ def run_scenario(
     outcome = ScenarioOutcome(
         scenario=scenario.name,
         seed=seed,
-        engine=engine,
+        engine=config.engine,
         run=run,
         sim=sim,
         result=result,

@@ -1,7 +1,7 @@
 """The adversarial scenario library: five attacks, one registry.
 
 Each scenario compiles to a :class:`~repro.scenarios.base.ScenarioRun`
-and executes through the full engine (fast or legacy). The attacks and
+and executes through the full engine. The attacks and
 their paper anchors:
 
 ========== ========================================================
@@ -69,7 +69,7 @@ def _distinct_fees(seed_tag: str, count: int, high: int = 1000) -> list[int]:
     serial — a tie would make the packing order (and hence the trace
     digest) depend on how many transactions the process created before
     the scenario. Distinct fees keep (scenario, seed) digests stable
-    across processes and engines.
+    across processes.
     """
     rng = random.Random(f"fees-{seed_tag}")
     return rng.sample(range(1, high + 1), count)

@@ -74,7 +74,6 @@ def takeover_corruption_sweep(
     horizon: float = 60.0,
     z_threshold: float = 3.5,
     slack: float = 0.02,
-    engine: str = "fast",
 ) -> list[SweepPoint]:
     """Sweep the takeover attack over a (miners, fraction) grid.
 
@@ -92,7 +91,7 @@ def takeover_corruption_sweep(
     """
     return [
         _sweep_point(
-            miners, fraction, trials, seed, horizon, z_threshold, slack, engine
+            miners, fraction, trials, seed, horizon, z_threshold, slack
         )
         for miners, fraction in points
     ]
@@ -106,7 +105,6 @@ def _sweep_point(
     horizon: float,
     z_threshold: float,
     slack: float,
-    engine: str,
 ) -> SweepPoint:
     # Half-open on the right to match the Eq. 3 closed forms: at f = 1
     # the geometric adversary sum (Eq. 5) diverges.
@@ -136,7 +134,6 @@ def _sweep_point(
         latency=LatencyModel(base_seconds=0.01, jitter_seconds=0.01),
         max_duration=horizon,
         run_to_horizon=True,
-        engine=engine,
     )
     corrupted = 0
     engine_trials = 0

@@ -91,38 +91,20 @@ class ProtocolConfig:
         environment switch. The resolved tracer is exposed as
         :attr:`ProtocolSimulation.tracer` and on the result.
     engine:
-        Which protocol engine runs the event loop. ``"fast"`` (default)
-        is the optimized path: tuple-keyed heap, fan-out broadcast with
-        pre-sampled latency vectors, incremental confirmed-set tracking,
-        tip-delta reorgs, cached fee-ranked mempool view. ``"legacy"``
-        is the frozen pre-optimization engine
-        (:mod:`repro.net.legacy`), kept as the differential oracle and
-        the benchmark baseline. Same seed ⇒ bit-identical trace digests
-        across both engines (the engine-parity tests enforce this).
-    delivery_waves:
-        Wave-schedule fault-free broadcast/multicast fan-outs: one
-        self-re-arming :class:`~repro.net.events.DeliveryWave` heap
-        entry per broadcast instead of one push + ``Message`` per
-        recipient. Default on for the fast engine; ``False`` keeps the
-        per-event scheduling as the differential oracle (bit-identical
-        digests either way — the scale bench asserts it before timing).
-        Ignored by the legacy engine and by faulty sends, which always
-        use the per-event path.
-    mining_calendar:
-        Keep each shard's next block times in a
-        :class:`~repro.consensus.pow.MiningCalendar` array and schedule
-        only the current winner, instead of one standing heap event per
-        miner. Default on for the fast engine; ``False`` restores the
-        per-miner-event oracle. Draw order per miner is identical either
-        way, so digests match bit for bit.
+        The protocol engine that runs the event loop. Only ``"fast"``
+        exists: a tuple-keyed heap, wave-scheduled fault-free fan-outs
+        (one :class:`~repro.net.events.DeliveryWave` heap entry per
+        broadcast), one :class:`~repro.consensus.pow.MiningCalendar`
+        per shard, incremental confirmed-set tracking, tip-delta
+        reorgs and a cached fee-ranked mempool view. Any other value
+        raises a :class:`ConfigError`.
     inject_batch:
         Paced streaming injection: how many transactions each injection
         tick hands the shard's nodes. ``None`` (default) keeps the
         paper's inject-everything-at-t=0 behavior; setting it requires
         the workload to be a :class:`~repro.workloads.TxStream` and is
-        incompatible with the legacy engine and active fault plans
-        (both raise a :class:`ConfigError` instead of silently running
-        a different experiment).
+        incompatible with active fault plans (a :class:`ConfigError`
+        instead of silently running a different experiment).
     inject_interval:
         Simulated seconds between paced injection ticks.
     mempool_limit:
@@ -168,15 +150,13 @@ class ProtocolConfig:
     inject_interval: float = 1.0
     mempool_limit: int | None = None
     max_events: int | None = None
-    delivery_waves: bool = True
-    mining_calendar: bool = True
     telemetry: Telemetry | bool | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ("fast", "legacy"):
+        if self.engine != "fast":
             raise ConfigError(
-                f"unknown protocol engine {self.engine!r} "
-                "(expected 'fast' or 'legacy')"
+                f"engine: unknown protocol engine {self.engine!r} "
+                "(expected 'fast')"
             )
         if self.block_capacity < 1:
             raise ConfigError(
@@ -204,21 +184,18 @@ class ProtocolConfig:
             raise ConfigError(
                 f"mempool_limit must be at least 1: {self.mempool_limit}"
             )
-        if self.inject_batch is not None:
-            if self.engine == "legacy":
-                raise ConfigError(
-                    "paced streaming injection (inject_batch=) is not "
-                    "supported by the legacy engine — it exists to freeze "
-                    "the pre-optimization t=0 path; use 'fast'"
-                )
-            if self.fault_plan is not None and self.fault_plan.is_active:
-                raise ConfigError(
-                    "paced streaming injection (inject_batch=) cannot run "
-                    "under an active fault plan: retransmission sweeps "
-                    "re-announce the whole workload, which defeats "
-                    "bounded-memory streaming — run faults with a "
-                    "materialized workload"
-                )
+        if (
+            self.inject_batch is not None
+            and self.fault_plan is not None
+            and self.fault_plan.is_active
+        ):
+            raise ConfigError(
+                "paced streaming injection (inject_batch=) cannot run "
+                "under an active fault plan: retransmission sweeps "
+                "re-announce the whole workload, which defeats "
+                "bounded-memory streaming — run faults with a "
+                "materialized workload"
+            )
 
 
 @dataclass
@@ -240,7 +217,7 @@ class ProtocolResult:
     fault_stats: FaultStats = field(default_factory=FaultStats)
     # Mempool-bound displacements summed over all nodes (0 when
     # ``mempool_limit`` is unset). Deterministic: the eviction rule is
-    # a total order on (fee, tx_id), so every engine agrees.
+    # a total order on (fee, tx_id), so every node evicts identically.
     evicted: int = 0
     # The run's trace when observability was enabled (None otherwise).
     trace: Tracer | None = None
@@ -389,37 +366,19 @@ class ProtocolSimulation:
         self._commitment = self._packet.digest() if self._packet is not None else None
         self._distribute_packet = unified and self._faults_active
 
-        # Engine selection: the fast path is the default; the frozen
-        # legacy engine replays the identical seeded run through the
-        # pre-optimization scheduler/network/mempool/reorg code.
-        self._fast_engine = self._config.engine != "legacy"
-        if self._fast_engine:
-            self._scheduler = Scheduler()
-            self._network = Network(
-                self._scheduler,
-                latency=self._config.latency,
-                seed=self._config.seed,
-                faults=self._fault_model,
-                waves=self._config.delivery_waves,
-            )
-        else:
-            from repro.net.legacy import LegacyNetwork, LegacyScheduler
-
-            self._scheduler = LegacyScheduler()
-            self._network = LegacyNetwork(
-                self._scheduler,
-                latency=self._config.latency,
-                seed=self._config.seed,
-                faults=self._fault_model,
-            )
+        self._scheduler = Scheduler()
+        self._network = Network(
+            self._scheduler,
+            latency=self._config.latency,
+            seed=self._config.seed,
+            faults=self._fault_model,
+        )
         self._rewards = RewardLedger(policy=FeePolicy())
         self._nodes: dict[str, FullNode] = {}
         self._mining: dict[str, MiningProcess] = {}
-        # Mining-calendar scheduling (fast engine only): per-shard
-        # calendars built lazily in _run(); empty dict = per-miner
-        # standing events (the legacy engine and the oracle path).
+        # One mining calendar per shard, built in _run(): each holds its
+        # miners' next block times and arms one scheduler event.
         self._miner_calendar: dict[str, MiningCalendar] = {}
-        self._calendars: list[MiningCalendar] = []
         with self._trace_scope():
             self._build_nodes()
 
@@ -547,7 +506,6 @@ class ProtocolSimulation:
                     None if self._distribute_packet else self._replay
                 ),
                 packet_commitment=self._commitment,
-                fast_paths=self._fast_engine,
                 mempool_limit=self._config.mempool_limit,
             )
             if self._lineage:
@@ -633,8 +591,8 @@ class ProtocolSimulation:
         return self._network
 
     @property
-    def scheduler(self):
-        """The run's event scheduler (fast or legacy engine)."""
+    def scheduler(self) -> Scheduler:
+        """The run's event scheduler."""
         return self._scheduler
 
     @property
@@ -705,22 +663,20 @@ class ProtocolSimulation:
                 self._config.retransmit_interval, self._retransmit_sweep
             )
 
-        if self._fast_engine and self._config.mining_calendar:
-            by_shard: dict[int, MiningCalendar] = {}
-            for public, node in self._nodes.items():
-                calendar = by_shard.get(node.shard_id)
-                if calendar is None:
-                    calendar = by_shard[node.shard_id] = MiningCalendar(
-                        self._scheduler, self._mine
-                    )
-                    self._calendars.append(calendar)
-                calendar.add(public)
-                self._miner_calendar[public] = calendar
+        by_shard: dict[int, MiningCalendar] = {}
+        for public, node in self._nodes.items():
+            calendar = by_shard.get(node.shard_id)
+            if calendar is None:
+                calendar = by_shard[node.shard_id] = MiningCalendar(
+                    self._scheduler, self._mine
+                )
+            calendar.add(public)
+            self._miner_calendar[public] = calendar
         for public in self._nodes:
             self._schedule_mining(public)
-        for calendar in self._calendars:
-            # One armed scheduler event per shard; initial draws above
-            # happened in the same per-miner order as per-miner events.
+        for calendar in by_shard.values():
+            # One armed scheduler event per shard; the initial draws
+            # above happen in miner registration order.
             calendar.rearm()
 
         target_ids = (
@@ -744,7 +700,7 @@ class ProtocolSimulation:
                     return False
                 return all(len(node.mempool) == 0 for node in nodes)
 
-        elif self._fast_engine:
+        else:
             # The stop condition runs after EVERY event. Recompute the
             # confirmed union only when some chain's head actually moved
             # (the ledgers' version counters are bumped on head changes);
@@ -762,17 +718,9 @@ class ProtocolSimulation:
                     cache["done"] = confirmed >= target_ids
                 return cache["done"]
 
-        else:
-            # Legacy stop condition: the original full canonical-chain
-            # walk per node per event (the accidentally quadratic path
-            # the fast engine replaces).
-            def drained() -> bool:
-                return self._confirmed_ids() >= target_ids
-
         if self._lineage:
             # The lineage probe piggybacks on the per-event stop-condition
-            # check, which both engines evaluate at identical points, so
-            # tx.confirmed streams (and digests) stay engine-independent.
+            # check, so tx.confirmed events land at deterministic points.
             probe = self._make_lineage_probe()
             inner_drained = drained
 
@@ -843,10 +791,10 @@ class ProtocolSimulation:
                 retransmissions=stats.retransmissions,
                 fallbacks=stats.fallbacks,
                 equivocations_detected=stats.equivocations_detected,
-                # Engine internals ride in the wall sidecar: they are
-                # allowed to differ between engines (the legacy queue
-                # never compacts), and the sidecar is excluded from the
-                # trace digest the parity tests compare.
+                # Scheduler internals ride in the wall sidecar: they
+                # differ between the wave and the per-send delivery
+                # paths, and the sidecar is excluded from the trace
+                # digest.
                 wall={
                     "engine": self._config.engine,
                     "events_fired": self._scheduler.events_fired,
@@ -923,8 +871,8 @@ class ProtocolSimulation:
             evicted=evicted,
             pool_depths=pool_depths,
             events_fired=self._scheduler.events_fired,
-            pending=getattr(self._scheduler, "pending", None),
-            peak_pending=getattr(self._scheduler, "peak_pending", None),
+            pending=self._scheduler.pending,
+            peak_pending=self._scheduler.peak_pending,
         )
 
     def _evictions_by_shard(self) -> dict[int, int]:
@@ -1293,16 +1241,9 @@ class ProtocolSimulation:
 
     def _schedule_mining(self, public: str) -> None:
         delay = self._mining[public].next_block_time()
-        calendar = self._miner_calendar.get(public)
-        if calendar is not None:
-            # Array-only update; the shard calendar re-arms its single
-            # scheduler event after the current mine step returns.
-            calendar.set_next(public, self._scheduler.now + delay)
-            return
-        # Bound-method dispatch: the fast engine passes args through the
-        # event record; the legacy scheduler wraps them in the original
-        # per-event lambda.
-        self._scheduler.schedule_in(delay, self._mine, public)
+        # Array-only update; the shard calendar re-arms its single
+        # scheduler event after the current mine step returns.
+        self._miner_calendar[public].set_next(public, self._scheduler.now + delay)
 
     def _mine(self, public: str) -> None:
         node = self._nodes[public]
@@ -1371,9 +1312,8 @@ class ProtocolSimulation:
             )
         else:
             # Withholding adversary: the block reaches only the chosen
-            # recipients. Both engines share this dispatch, so the
-            # latency-RNG draw order (one draw per actual recipient, in
-            # list order) stays engine-identical.
+            # recipients, one latency-RNG draw per actual recipient in
+            # list order.
             self._network.multicast(
                 MessageKind.BLOCK,
                 sender=public,
@@ -1396,13 +1336,8 @@ class ProtocolSimulation:
 
     def _confirmed_ids(self) -> set[str]:
         confirmed: set[str] = set()
-        if self._fast_engine:
-            for node in self._nodes.values():
-                confirmed |= node.ledger.confirmed_tx_ids()
-        else:
-            # The legacy engine pays the original O(chain) walk per node.
-            for node in self._nodes.values():
-                confirmed |= node.ledger.confirmed_tx_ids_scan()
+        for node in self._nodes.values():
+            confirmed |= node.ledger.confirmed_tx_ids()
         return confirmed
 
     def _per_shard_confirmed(self) -> dict[int, int]:

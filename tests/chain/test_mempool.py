@@ -116,7 +116,7 @@ class TestCachedRankedView:
         import random
 
         rng = random.Random(31)
-        cached = Mempool(fee_cache=True)
+        cached = Mempool()
         txs = [make_call(f"0xu{i}", fee=rng.randrange(1, 50)) for i in range(80)]
         for tx in txs:
             cached.add(tx)
@@ -139,14 +139,6 @@ class TestCachedRankedView:
         pool.select_by_fee(5)  # build the cache
         pool.remove_confirmed({tx.tx_id for tx in txs[:20]})
         assert pool.select_by_fee(30) == pool.select_by_fee_sorted(30)
-
-    def test_fee_cache_disabled_uses_sort(self):
-        pool = Mempool(fee_cache=False)
-        txs = [make_call(f"0xu{i}", fee=i) for i in range(10)]
-        pool.add_many(txs)
-        assert pool._ranked is None
-        assert pool.select_by_fee(5) == pool.select_by_fee_sorted(5)
-        assert pool._ranked is None  # never built
 
     def test_add_after_cache_built_keeps_order(self):
         pool = Mempool()

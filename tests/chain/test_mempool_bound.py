@@ -83,12 +83,15 @@ class TestBound:
         assert pool_a.select_by_fee(10) == pool_b.select_by_fee_sorted(10)
 
     def test_eviction_counted_without_cache(self):
-        pool = Mempool(fee_cache=False, limit=1)
+        # No selection ever runs, so the ranked view is never built and
+        # eviction takes the uncached worst-resident scan.
+        pool = Mempool(limit=1)
         pool.add(make_call("0xua", fee=2))
         pool.add(make_call("0xub", fee=7))
         assert pool.evictions == 1
         assert len(pool) == 1
         assert pool.pending()[0].fee == 7
+        assert pool._ranked is None
 
 
 class TestEvictionCompactionInteraction:

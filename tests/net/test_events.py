@@ -117,6 +117,22 @@ class TestScheduler:
         scheduler.schedule_in(1.0, forever)
         with pytest.raises(SimulationError, match="budget"):
             scheduler.run(max_events=100)
+        assert scheduler.events_fired == 100
+
+    def test_run_using_exactly_the_budget_completes(self):
+        # Draining the queue in exactly max_events events is in budget.
+        scheduler = Scheduler()
+        scheduler.schedule_in(1.0, lambda: None)
+        scheduler.schedule_in(2.0, lambda: None)
+        assert scheduler.run(max_events=2) == 2.0
+        assert scheduler.events_fired == 2
+        # So is a stop condition met by the last event the budget allows.
+        scheduler = Scheduler()
+        fired = []
+        scheduler.schedule_in(1.0, fired.append, 1)
+        scheduler.schedule_in(2.0, fired.append, 2)
+        assert scheduler.run(stop_condition=lambda: bool(fired), max_events=1) == 1.0
+        assert fired == [1]
 
     def test_events_fired_counter(self):
         scheduler = Scheduler()

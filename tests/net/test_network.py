@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import NetworkError
+from repro.faults.model import FaultModel
+from repro.faults.plan import FaultPlan
 from repro.net.events import Scheduler
 from repro.net.messages import Message, MessageKind
 from repro.net.network import LatencyModel, Network
@@ -108,29 +110,36 @@ class TestDelivery:
             network.multicast(MessageKind.TX, "n0", "p", recipients=["ghost"])
 
     def test_multicast_unknown_recipient_names_sender_and_kind(self):
-        __, network, __nodes = make_net()
+        scheduler, network, __nodes = make_net()
+        rng_before = network._rng.getstate()
         with pytest.raises(NetworkError, match=r"ghost.*BLOCK.*n0"):
             network.multicast(
                 MessageKind.BLOCK, "n0", "p", recipients=["n1", "ghost"]
             )
+        assert scheduler.pending == 0
+        assert network._rng.getstate() == rng_before
 
     def test_faulty_multicast_unknown_recipient_names_sender_and_kind(self):
-        # The faulty (per-event) path must report the same diagnostic as
-        # the wave fast path.
-        from repro.faults.model import FaultModel
-        from repro.faults.plan import FaultPlan
-
-        scheduler = Scheduler()
-        network = Network(
-            scheduler,
-            latency=LatencyModel(),
-            seed=0,
-            faults=FaultModel(FaultPlan.lossy(0.5), seed=1),
-        )
-        for node in [Recorder("n0"), Recorder("n1")]:
-            network.register(node)
-        with pytest.raises(NetworkError, match=r"ghost.*TX.*n0"):
-            network.multicast(MessageKind.TX, "n0", "p", recipients=["n1", "ghost"])
+        # The per-send path refuses the list before sending anything,
+        # exactly like the wave path: no delivery scheduled, no latency
+        # drawn for the known recipient ahead of the unknown one.
+        for plan in (FaultPlan(), FaultPlan.lossy(0.5)):
+            scheduler = Scheduler()
+            network = Network(
+                scheduler,
+                latency=LatencyModel(),
+                seed=0,
+                faults=FaultModel(plan, seed=1),
+            )
+            for node in [Recorder("n0"), Recorder("n1")]:
+                network.register(node)
+            rng_before = network._rng.getstate()
+            with pytest.raises(NetworkError, match=r"ghost.*TX.*n0"):
+                network.multicast(
+                    MessageKind.TX, "n0", "p", recipients=["n1", "ghost"]
+                )
+            assert scheduler.pending == 0
+            assert network._rng.getstate() == rng_before
 
     def test_duplicate_registration(self):
         __, network, nodes = make_net()
@@ -140,16 +149,17 @@ class TestDelivery:
 
 class TestDeliveryWaves:
     """The wave fast path must be observationally identical to the
-    per-event oracle (``waves=False``): same recipients, same delivery
-    times, same arrival order, same accounting."""
+    per-send reference — a no-op fault model routes every recipient
+    through ``Network.send`` — with the same recipients, delivery
+    times, arrival order and accounting."""
 
-    def _run(self, waves, n=6, seed=3):
+    def _run(self, faults, n=6, seed=3):
         scheduler = Scheduler()
         network = Network(
             scheduler,
             latency=LatencyModel(base_seconds=0.05, jitter_seconds=0.1),
             seed=seed,
-            waves=waves,
+            faults=faults,
         )
         nodes = [Recorder(f"n{i}") for i in range(n)]
         for node in nodes:
@@ -170,8 +180,10 @@ class TestDeliveryWaves:
         return arrivals, network.messages_delivered, scheduler.events_fired
 
     def test_wave_matches_per_event_oracle(self):
-        wave_arrivals, wave_count, wave_fired = self._run(waves=True)
-        oracle_arrivals, oracle_count, oracle_fired = self._run(waves=False)
+        wave_arrivals, wave_count, wave_fired = self._run(faults=None)
+        oracle_arrivals, oracle_count, oracle_fired = self._run(
+            faults=FaultModel(FaultPlan(), seed=1)
+        )
         assert wave_arrivals == oracle_arrivals
         assert wave_count == oracle_count
         assert wave_fired == oracle_fired

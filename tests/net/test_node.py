@@ -363,19 +363,17 @@ class TestUnificationPacketPath:
 class TestTipDeltaReorg:
     """The journaled reorg path vs. the replay-from-genesis oracle."""
 
-    def _forked_node(self, fast_paths=True):
+    def _forked_node(self):
         """A node driven through a multi-block reorg with value-moving
         bodies, so both branches actually mutate the world state."""
         from repro.chain.block import Block
 
-        node = make_node(shard=1, name=f"reorg-{fast_paths}")
+        node = make_node(shard=1, name="reorg")
         # Fund bob in the live state AND the pre-genesis snapshot: the
         # replay oracle rebuilds from the pristine snapshot, so genesis
         # funding must exist in both views.
         node.state.create_account("0xubob", balance=1_000)
         node._pristine_state.create_account("0xubob", balance=1_000)
-        if not fast_paths:
-            node._fast_paths = False
         genesis = node.ledger.head_hash
         tx_a = make_call("0xualice", fee=4)
         tx_b = make_transfer("0xubob", "0xucarol", amount=10, fee=2)
@@ -393,15 +391,15 @@ class TestTipDeltaReorg:
         return node
 
     def test_reorg_state_matches_oracle(self):
-        node = self._forked_node(fast_paths=True)
+        node = self._forked_node()
         assert node.state.fingerprint() == node.state_oracle_fingerprint()
 
     def test_fast_and_slow_paths_agree(self):
-        fast = self._forked_node(fast_paths=True)
-        slow = self._forked_node(fast_paths=False)
-        assert fast.state.fingerprint() == slow.state.fingerprint()
+        """The ledger's incremental confirmed set through the reorg
+        against the full canonical scan."""
+        node = self._forked_node()
         assert (
-            fast.ledger.confirmed_tx_ids() == fast.ledger.confirmed_tx_ids_scan()
+            node.ledger.confirmed_tx_ids() == node.ledger.confirmed_tx_ids_scan()
         )
 
     def test_partial_depth_reorg(self):

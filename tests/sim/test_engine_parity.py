@@ -1,15 +1,16 @@
-"""Engine parity: the fast protocol engine vs. the frozen legacy oracle.
+"""Engine parity: the protocol engine against its recorded history.
 
-The fast-path rewrite (tuple-keyed heap, broadcast fan-out with
-pre-sampled latency vectors, incremental confirmed tracking, tip-delta
-reorgs, cached fee-ranked mempool) must leave every seeded run
-**bit-identical**. These tests hold that in three ways:
+The engine's optimizations (tuple-keyed heap, wave-scheduled fan-outs
+with pre-sampled latency vectors, per-shard mining calendars,
+incremental confirmed tracking, tip-delta reorgs, cached fee-ranked
+mempool) must leave every seeded run **bit-identical**. These tests
+hold that in three ways:
 
-* same-seed trace-digest equality between the two engines, for clean,
-  faulty, unified and unified-faulty runs;
 * same-seed equality against the *recorded* baselines in
-  ``seed_digests.json`` — so a silent draw-order change cannot slip
-  through by breaking both engines the same way;
+  ``seed_digests.json``, for clean, faulty, unified and unified-faulty
+  runs;
+* the wave path against the per-send reference (a no-op fault plan
+  routes every recipient through ``Network.send``);
 * targeted regressions for the RNG draw-order contract, scheduler
   compaction, and the tip-delta world-state against the
   replay-from-genesis oracle.
@@ -45,10 +46,10 @@ PROFILES = {
 
 
 def _simulate(
-    engine: str,
     unified: bool = False,
     faulty: bool = False,
     workload=None,
+    per_send: bool = False,
 ):
     identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
     if workload is None:
@@ -59,12 +60,12 @@ def _simulate(
         workload = uniform_contract_workload(
             total_txs=TXS, contract_shards=3, seed=SEED
         )
-    plan = (
-        FaultPlan.lossy(0.08, duplicate_probability=0.05) if faulty else None
-    )
+    if faulty:
+        plan = FaultPlan.lossy(0.08, duplicate_probability=0.05)
+    else:
+        plan = FaultPlan() if per_send else None
     config = ProtocolConfig(
         seed=SEED,
-        engine=engine,
         trace=True,
         max_duration=5000.0,
         fault_plan=plan,
@@ -77,37 +78,26 @@ def _simulate(
 
 class TestEngineDigestParity:
     @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_fast_and_legacy_digests_identical(self, profile):
-        workload = uniform_contract_workload(
-            total_txs=TXS, contract_shards=3, seed=SEED
-        )
-        __, fast = _simulate("fast", workload=workload, **PROFILES[profile])
-        __, legacy = _simulate(
-            "legacy", workload=workload, **PROFILES[profile]
-        )
-        assert fast.trace.digest() == legacy.trace.digest()
-        assert fast.confirmed_tx_ids == legacy.confirmed_tx_ids
-
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_fast_engine_matches_recorded_baseline(self, profile):
-        """The committed digest pins the draw order across PR history:
-        a change that altered both engines identically would still pass
-        pairwise parity, but not this."""
-        __, result = _simulate("fast", **PROFILES[profile])
+        """The committed digest pins the draw order across PR history."""
+        __, result = _simulate(**PROFILES[profile])
         assert result.trace.digest() == BASELINES[profile]
 
     def test_engines_fire_identical_event_counts(self):
-        sim_fast, __ = _simulate("fast", faulty=True)
-        sim_legacy, __ = _simulate("legacy", faulty=True)
-        assert (
-            sim_fast.scheduler.events_fired
-            == sim_legacy.scheduler.events_fired
+        """Wave scheduling and the per-send reference deliver the same
+        events and confirm the same transactions."""
+        workload = uniform_contract_workload(
+            total_txs=TXS, contract_shards=3, seed=SEED
         )
+        sim_wave, wave = _simulate(workload=workload)
+        sim_send, send = _simulate(workload=workload, per_send=True)
+        assert sim_wave.scheduler.events_fired == sim_send.scheduler.events_fired
+        assert wave.confirmed_tx_ids == send.confirmed_tx_ids
 
     def test_unknown_engine_rejected(self):
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError, match="expected 'fast' or 'legacy'"):
+        with pytest.raises(ConfigError, match=r"engine.*expected 'fast'"):
             ProtocolConfig(engine="turbo")
 
 
@@ -218,7 +208,7 @@ class TestStateOracle:
         """After a full run (reorgs included), every node's journaled
         world state must fingerprint identically to a from-scratch
         canonical replay."""
-        sim, __ = _simulate("fast", **PROFILES[profile])
+        sim, __ = _simulate(**PROFILES[profile])
         for public in sorted(sim.assignment.shard_of):
             node = sim.node(public)
             assert (
@@ -226,7 +216,7 @@ class TestStateOracle:
             ), f"state drift on node {public[:10]} in profile {profile}"
 
     def test_ledger_incremental_matches_scan(self):
-        sim, __ = _simulate("fast", faulty=True)
+        sim, __ = _simulate(faulty=True)
         for public in sorted(sim.assignment.shard_of):
             ledger = sim.node(public).ledger
             assert ledger.confirmed_tx_ids() == ledger.confirmed_tx_ids_scan()

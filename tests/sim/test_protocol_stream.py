@@ -45,7 +45,7 @@ def _stream() -> TxStream:
     )
 
 
-def _simulate_stream(engine: str, unified: bool = False, faulty: bool = False):
+def _simulate_stream(unified: bool = False, faulty: bool = False):
     """The exact `_simulate` setup of test_engine_parity, with the
     workload handed over as a TxStream instead of a list."""
     identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
@@ -54,7 +54,6 @@ def _simulate_stream(engine: str, unified: bool = False, faulty: bool = False):
     )
     config = ProtocolConfig(
         seed=SEED,
-        engine=engine,
         trace=True,
         max_duration=5000.0,
         fault_plan=plan,
@@ -65,14 +64,12 @@ def _simulate_stream(engine: str, unified: bool = False, faulty: bool = False):
 
 
 def _run_paced(
-    engine: str,
     limit: int | None = None,
     batch: int = 10,
 ):
     tracer = Tracer()
     config = ProtocolConfig(
         seed=SEED,
-        engine=engine,
         trace=tracer,
         max_duration=5000.0,
         pow_params=PoWParameters.fast_confirmation(),
@@ -91,7 +88,7 @@ class TestUnpacedStreamParity:
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_fast_engine_stream_matches_recorded_baseline(self, profile):
-        result = _simulate_stream("fast", **PROFILES[profile])
+        result = _simulate_stream(**PROFILES[profile])
         assert result.trace.digest() == BASELINES[profile]
 
     def test_stream_fields_match_list_generator(self):
@@ -111,15 +108,15 @@ class TestPacedStreamingParity:
     """Paced injection: repeatable, and equal to the recorded digests."""
 
     def test_fast_engine_paced_runs_are_deterministic(self):
-        first, digest_a = _run_paced("fast")
-        second, digest_b = _run_paced("fast")
+        first, digest_a = _run_paced()
+        second, digest_b = _run_paced()
         assert digest_a == digest_b
         assert first.confirmed_count() == second.confirmed_count()
         assert first.duration == second.duration
         assert first.evicted == second.evicted == 0
 
     def test_paced_digest_matches_recorded_baseline(self):
-        result, digest = _run_paced("fast")
+        result, digest = _run_paced()
         assert digest == BASELINES["paced"]
         assert result.confirmed_count() == TXS
         assert result.evicted == 0
@@ -127,17 +124,17 @@ class TestPacedStreamingParity:
     def test_eviction_digest_matches_recorded_baseline(self):
         """A tight mempool bound evicts the same transactions (counted
         per node) at the same instants on every run."""
-        first, digest = _run_paced("fast", limit=4, batch=8)
+        first, digest = _run_paced(limit=4, batch=8)
         assert first.evicted > 0
         assert digest == BASELINES["paced-evicting"]
-        again, digest_again = _run_paced("fast", limit=4, batch=8)
+        again, digest_again = _run_paced(limit=4, batch=8)
         assert again.evicted == first.evicted
         assert again.duration == first.duration
         assert digest_again == digest
 
     def test_defer_events_present_under_backpressure(self):
-        __, __digest = _run_paced("fast", limit=4, batch=8)
-        result, __ = _run_paced("fast", limit=4, batch=8)
+        __, __digest = _run_paced(limit=4, batch=8)
+        result, __ = _run_paced(limit=4, batch=8)
         names = [record.name for record in result.trace.records]
         assert "inject.batch" in names
         assert "inject.done" in names

@@ -1,14 +1,13 @@
 """Scale optimizations (delivery waves + mining calendar) parity.
 
-``ProtocolConfig.delivery_waves`` and ``mining_calendar`` default to
-True; setting either to False keeps the pre-optimization per-event code
-as a differential oracle. These tests hold the optimized engines to the
-*recorded* ``seed_digests.json`` baselines with the optimizations
-disabled (proving the oracle paths are still the historical stream) and
-to bit-identical digests oracle-vs-optimized on the fast engine, list
-and paced-stream workloads alike — plus
-the heap-footprint claim (``scheduler.peak_pending`` collapses under
-waves + calendar).
+Fault-free fan-outs are wave-scheduled and every shard mines from one
+:class:`~repro.consensus.pow.MiningCalendar`. A no-op
+:class:`~repro.faults.plan.FaultPlan` routes every send through
+``Network.send`` instead: that is the per-send reference (``ORACLE``).
+These tests hold the reference to the *recorded* ``seed_digests.json``
+baselines, the wave path to the reference on list and paced-stream
+workloads, and pin the heap-footprint claim (``scheduler.peak_pending``
+collapses under waves + calendar).
 """
 
 import json
@@ -35,7 +34,13 @@ BASELINES = json.loads(
     (pathlib.Path(__file__).parent / "seed_digests.json").read_text()
 )
 
-ORACLE = {"delivery_waves": False, "mining_calendar": False}
+#: The per-send reference: a no-op plan takes the fault layer's
+#: per-recipient path without injecting anything.
+ORACLE = {"fault_plan": FaultPlan()}
+
+#: ``peak_pending`` of the wide run below with waves and calendars both
+#: off, recorded before those per-event paths were deleted.
+PER_EVENT_PEAK_PENDING = 63
 
 
 def _simulate(
@@ -55,16 +60,18 @@ def _simulate(
         workload = uniform_contract_workload(
             total_txs=TXS, contract_shards=3, seed=SEED
         )
-    plan = (
-        FaultPlan.lossy(0.08, duplicate_probability=0.05) if faulty else None
-    )
+    if faulty:
+        # An active plan already sends per recipient, so it replaces
+        # the no-op reference plan.
+        options["fault_plan"] = FaultPlan.lossy(
+            0.08, duplicate_probability=0.05
+        )
     tracer = Tracer()
     config = ProtocolConfig(
         seed=SEED,
         engine=engine,
         trace=tracer,
         max_duration=5000.0,
-        fault_plan=plan,
         retransmit_interval=60.0 if faulty else None,
         pow_params=(
             PoWParameters.fast_confirmation()
@@ -80,7 +87,7 @@ def _simulate(
 
 
 class TestOracleBaselineParity:
-    """Waves and calendar off = the exact recorded historical stream."""
+    """The per-send reference reproduces the recorded stream."""
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_fast_oracle_matches_recorded_baseline(self, profile):
@@ -89,30 +96,13 @@ class TestOracleBaselineParity:
 
 
 class TestOptimizedVsOracle:
-    """Each optimization alone, and both together, change nothing."""
+    """Wave scheduling changes nothing against the per-send reference."""
 
-    @pytest.mark.parametrize(
-        "options",
-        [
-            {"delivery_waves": False},
-            {"mining_calendar": False},
-            {},
-        ],
-        ids=["calendar-only", "waves-only", "both"],
-    )
     @pytest.mark.parametrize("engine", ["fast"])
-    def test_digest_matches_oracle(self, engine, options):
+    def test_digest_matches_oracle(self, engine):
         __, __r, oracle = _simulate(engine, **ORACLE)
-        __, __r, optimized = _simulate(engine, **options)
+        __, __r, optimized = _simulate(engine)
         assert optimized == oracle == BASELINES["clean"]
-
-    @pytest.mark.parametrize("engine", ["fast"])
-    def test_faulty_digest_matches_oracle(self, engine):
-        # Faulty sends take the per-event path; waves must still cover
-        # the fault-free remainder without disturbing the stream.
-        __, __r, oracle = _simulate(engine, faulty=True, **ORACLE)
-        __, __r, optimized = _simulate(engine, faulty=True)
-        assert optimized == oracle == BASELINES["faulty"]
 
     @pytest.mark.parametrize("engine", ["fast"])
     def test_paced_stream_digest_matches_oracle(self, engine):
@@ -139,13 +129,43 @@ class TestHeapFootprint:
         return sim, result
 
     def test_peak_pending_collapses_under_optimizations(self):
-        """The point of the PR: the physical heap high-water mark drops
-        by an order of magnitude; the gauge and wall sidecar record it."""
-        sim_oracle, __ = self._simulate_wide(**ORACLE)
+        """The physical heap high-water mark is an order of magnitude
+        under the recorded per-event one, the digest matches the
+        per-send reference, and the gauge and wall sidecar record it."""
+        __, result_ref = self._simulate_wide(**ORACLE)
         sim_opt, result_opt = self._simulate_wide()
-        assert sim_opt.scheduler.peak_pending * 10 <= sim_oracle.scheduler.peak_pending
+        assert (
+            result_opt.trace.digest()
+            == result_ref.trace.digest()
+            == BASELINES["wide-32"]
+        )
+        assert sim_opt.scheduler.peak_pending * 10 <= PER_EVENT_PEAK_PENDING
 
         record = result_opt.trace.records_named("run.complete")[0]
         assert record.wall["peak_pending"] == sim_opt.scheduler.peak_pending
         gauge = result_opt.trace.metrics.gauge("scheduler.peak_pending")
         assert gauge.value == sim_opt.scheduler.peak_pending
+
+
+class TestHorizonProfile:
+    """64 miners run to a 60 s horizon with one-second blocks: the
+    broadcast-heavy shape where waves and calendars carry the most
+    load. The recorded digests equal the ones the deleted per-event
+    paths produced for the same runs."""
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_digest_matches_recorded_baseline(self, seed):
+        workload = uniform_contract_workload(
+            total_txs=60, contract_shards=3, seed=seed
+        )
+        tracer = Tracer()
+        config = ProtocolConfig(
+            seed=seed,
+            trace=tracer,
+            max_duration=60.0,
+            run_to_horizon=True,
+            pow_params=PoWParameters.fast_confirmation(),
+        )
+        identities = [MinerIdentity.create(f"m{i}") for i in range(64)]
+        ProtocolSimulation(identities, workload, config=config).run()
+        assert tracer.digest() == BASELINES[f"horizon-64-seed{seed}"]

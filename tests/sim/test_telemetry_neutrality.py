@@ -3,9 +3,10 @@
 Heartbeats sample scheduler and mempool state without emitting trace
 records or consuming RNG draws; shard-load accounting reads counters
 the run maintains anyway. These tests hold the whole telemetry layer
-against the *recorded* ``seed_digests.json`` baselines on both engines
-— fast and the frozen legacy oracle — so an instrumentation site that
-accidentally perturbs event order or draw order cannot land.
+against the *recorded* ``seed_digests.json`` baselines on both delivery
+paths — wave-scheduled fan-outs and the per-send reference a no-op
+fault plan selects — so an instrumentation site that accidentally
+perturbs event order or draw order cannot land.
 """
 
 import json
@@ -14,6 +15,7 @@ import pathlib
 import pytest
 
 from repro.consensus.miner import MinerIdentity
+from repro.faults.plan import FaultPlan
 from repro.observe import Telemetry
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import (
@@ -29,8 +31,12 @@ BASELINES = json.loads(
     (pathlib.Path(__file__).parent / "seed_digests.json").read_text()
 )
 
+#: Delivery paths by fault plan: wave-scheduled fan-outs ("fast") and
+#: the per-send reference, where a no-op plan sends per recipient.
+PATHS = {"fast": None, "per-send": FaultPlan()}
 
-def _run(engine: str, telemetry, stream=False):
+
+def _run(path: str, telemetry, stream=False):
     miners = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
     if stream:
         workload = streaming_uniform_contract_workload(
@@ -42,29 +48,26 @@ def _run(engine: str, telemetry, stream=False):
         )
     config = ProtocolConfig(
         seed=SEED,
-        engine=engine,
         trace=True,
         max_duration=5000.0,
+        fault_plan=PATHS[path],
         telemetry=telemetry,
     )
     return ProtocolSimulation(miners, workload, config=config).run()
 
 
-ENGINES = ["fast", "legacy"]
-
-
 class TestDigestNeutrality:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_heartbeats_leave_recorded_baseline_untouched(self, engine):
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_heartbeats_leave_recorded_baseline_untouched(self, path):
         telemetry = Telemetry(heartbeat_interval=25.0)
-        result = _run(engine, telemetry)
+        result = _run(path, telemetry)
         assert result.trace.digest() == BASELINES["clean"]
         assert telemetry.samples, "heartbeats should have fired"
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_on_off_digests_identical(self, engine):
-        on = _run(engine, Telemetry(heartbeat_interval=10.0))
-        off = _run(engine, False)
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_on_off_digests_identical(self, path):
+        on = _run(path, Telemetry(heartbeat_interval=10.0))
+        off = _run(path, False)
         assert on.trace.digest() == off.trace.digest()
         assert on.confirmed_count() == off.confirmed_count()
         assert on.shard_stats is not None
