@@ -6,13 +6,15 @@ longest-chain fork-choice rule used by PoW chains, and exposes the
 statistics the evaluation needs: confirmed transactions, empty blocks and
 stale (orphaned) blocks.
 
-The canonical-chain views are maintained **incrementally**: every head
-change updates a canonical-hash set and a confirmed-transaction multiset
-by walking only the reorged branch delta, so ``confirmed_tx_ids()`` is
-O(1) instead of an O(chain) walk. Protocol stop conditions poll that
-view after *every* event, which made the full scan accidentally
-quadratic; the scan survives as :meth:`confirmed_tx_ids_scan`, the
-differential oracle the ledger tests compare against.
+The ledger is the one place that decides how the canonical chain moves.
+:meth:`Ledger.add_block` walks only the reorged branch and returns the
+delta — the blocks that left the canonical chain and the blocks that
+joined it. The ledger folds that delta into its own canonical-hash set
+and confirmed-transaction multiset, so ``confirmed_tx_ids()`` is O(1)
+instead of an O(chain) walk; the node applies the same delta to its
+world state and hands it on to whoever tracks the run as a whole. The
+full scan survives as :meth:`confirmed_tx_ids_scan`, the differential
+oracle the ledger tests compare against.
 """
 
 from __future__ import annotations
@@ -54,13 +56,18 @@ class Ledger:
         self._canonical: set[str] = {genesis_hash}
         self._confirmed_counts: dict[str, int] = {}
         self._confirmed_ids: set[str] = set()
-        self._version = 0
 
     # ------------------------------------------------------------------
     # insertion
     # ------------------------------------------------------------------
-    def add_block(self, block: Block) -> bool:
-        """Insert a block; returns True iff it became the new head.
+    def add_block(self, block: Block) -> tuple[list[Block], list[Block]]:
+        """Insert a block; returns the canonical-chain delta it caused.
+
+        The delta is ``(disconnected, connected)``: the blocks that left
+        the canonical chain, newest first, and the blocks that joined it,
+        oldest first. Both are empty when the head did not move (a
+        side-branch block or a losing tie); a plain tip extension is
+        ``([], [block])``.
 
         Raises :class:`LedgerError` when the parent is unknown or the
         block was already inserted.
@@ -80,19 +87,34 @@ class Ledger:
         self._arrival_order[block_hash] = self._arrivals
         self._arrivals += 1
 
-        head_height = self._entries[self._head_hash].height
-        if height > head_height:
-            old_head = self._head_hash
-            self._head_hash = block_hash
-            if parent == old_head:
-                # Plain tip extension: one canonical block to add.
-                self._canonical.add(block_hash)
-                self._add_confirmed(block)
-            else:
-                self._reorg_canonical(old_head, block_hash)
-            self._version += 1
-            return True
-        return False
+        if height <= self._entries[self._head_hash].height:
+            return [], []
+        # Walk the new branch back to the fork point (its first canonical
+        # block), then the old branch down to it: only the branch delta
+        # is touched, never the shared prefix.
+        entries = self._entries
+        canonical = self._canonical
+        connected: list[Block] = []
+        cursor = block_hash
+        while cursor not in canonical:
+            entry = entries[cursor]
+            connected.append(entry.block)
+            cursor = entry.parent
+        fork_point, cursor = cursor, self._head_hash
+        disconnected: list[Block] = []
+        while cursor != fork_point:
+            entry = entries[cursor]
+            disconnected.append(entry.block)
+            cursor = entry.parent
+        connected.reverse()
+        self._head_hash = block_hash
+        for gone in disconnected:
+            canonical.discard(gone.block_hash)
+            self._remove_confirmed(gone)
+        for new in connected:
+            canonical.add(new.block_hash)
+            self._add_confirmed(new)
+        return disconnected, connected
 
     def _add_confirmed(self, block: Block) -> None:
         counts = self._confirmed_counts
@@ -115,35 +137,6 @@ class Ledger:
             else:
                 del counts[tx_id]
                 confirmed.discard(tx_id)
-
-    def _reorg_canonical(self, old_head: str, new_head: str) -> None:
-        """Rebase the canonical views across a fork switch.
-
-        Walks the new branch back to the first block that is already
-        canonical (the fork point), then unwinds the old branch down to
-        it — touching only the branch delta, never the shared prefix.
-        """
-        entries = self._entries
-        canonical = self._canonical
-        # New-branch suffix, tip first.
-        suffix: list[tuple[str, _ChainEntry]] = []
-        cursor = new_head
-        while cursor not in canonical:
-            entry = entries[cursor]
-            suffix.append((cursor, entry))
-            cursor = entry.parent
-        fork_point = cursor
-        # Unwind the old branch down to the fork point.
-        cursor = old_head
-        while cursor != fork_point:
-            entry = entries[cursor]
-            canonical.discard(cursor)
-            self._remove_confirmed(entry.block)
-            cursor = entry.parent
-        # Connect the new branch, oldest first.
-        for block_hash, entry in reversed(suffix):
-            canonical.add(block_hash)
-            self._add_confirmed(entry.block)
 
     def knows(self, block_hash: str) -> bool:
         return block_hash in self._entries
@@ -168,16 +161,6 @@ class Ledger:
     def height(self) -> int:
         """Height of the canonical chain head (genesis = 0)."""
         return self._entries[self._head_hash].height
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped on every head change.
-
-        Lets callers cache derived views (confirmed unions, stop
-        conditions) and refresh them only when some chain actually
-        moved, instead of recomputing after every event.
-        """
-        return self._version
 
     def block(self, block_hash: str) -> Block:
         """Look up a known block by hash."""

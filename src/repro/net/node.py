@@ -1,20 +1,21 @@
 """Full nodes: the per-miner workflow of Sec. III-C.
 
-A :class:`FullNode` owns the local ledger, world-state view, mempool and
-call graph of one miner. It implements the receive-side protocol exactly
-as the paper describes it:
+A :class:`FullNode` owns the local ledger, world-state view and mempool
+of one miner. It implements the receive-side protocol exactly as the
+paper describes it:
 
 * on a transaction — check whether the sender belongs to this node's
   shard (via the shard map / call graph) and pool it so;
 * on a block — run the two verifications (packer really in the claimed
   shard; claimed shard == own shard), then record, apply and de-pool.
 
-The world-state bookkeeping is **tip-delta**: every applied canonical
-block leaves a :class:`~repro.chain.state.BlockUndo` journal entry, so a
-reorg unwinds only the losing branch and applies only the winning one —
-O(reorg depth) instead of the old replay-from-genesis O(chain) rebuild.
-The replay survives only as :meth:`FullNode.state_oracle_fingerprint`,
-the reference the differential tests compare the live state against.
+The world-state bookkeeping is **tip-delta**: the ledger reports which
+blocks left and which joined the canonical chain, every applied block
+leaves a :class:`~repro.chain.state.BlockUndo` journal entry, and a
+reorg reverts only the losing branch and applies only the winning one —
+O(reorg depth) instead of a replay-from-genesis O(chain) rebuild. The
+replay survives only as :meth:`FullNode.state_oracle_fingerprint`, the
+reference the differential tests compare the live state against.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.chain.block import Block
-from repro.chain.callgraph import CallGraph
 from repro.chain.ledger import Ledger
 from repro.chain.mempool import Mempool
 from repro.chain.state import BlockUndo, WorldState
@@ -86,7 +86,6 @@ class FullNode(Node):
         "mempool",
         "ledger",
         "state",
-        "callgraph",
         "stats",
         "_behavior_overridden",
         "_pristine_state",
@@ -96,10 +95,10 @@ class FullNode(Node):
         "_packet_commitment",
         "_orphans",
         "_orphan_count",
-        "_applied",
-        "_applied_index",
+        "_undo",
         "on_pooled",
         "on_rejected",
+        "on_canonical",
     )
 
     #: Cap on buffered out-of-order blocks (drop-oldest beyond this).
@@ -127,7 +126,6 @@ class FullNode(Node):
         # Pre-genesis snapshot: the base of the from-scratch replay
         # that state_oracle_fingerprint checks the live state against.
         self._pristine_state = self.state.snapshot()
-        self.callgraph = CallGraph()
         self.stats = NodeStats()
         self._tx_classifier = tx_classifier
         self._block_validator = BlockValidator(
@@ -145,10 +143,9 @@ class FullNode(Node):
         # lets the chain heal once the missing parent shows up.
         self._orphans: dict[str, list[Block]] = {}
         self._orphan_count = 0
-        # Tip-delta state: the applied canonical suffix as (hash, undo)
-        # pairs plus a hash -> position index for O(1) fork-point lookup.
-        self._applied: list[tuple[str, BlockUndo]] = []
-        self._applied_index: dict[str, int] = {}
+        # Tip-delta state: the undo journal of every applied canonical
+        # block, consumed when a reorg disconnects that block.
+        self._undo: dict[str, BlockUndo] = {}
         # Lineage hook: called as ``on_pooled(node, tx)`` whenever a
         # transaction enters this node's mempool. Installed by the
         # protocol simulation only when lineage tracing is on, so the
@@ -160,6 +157,13 @@ class FullNode(Node):
         # lineage tracing is on — the detection-latency signal of the
         # adversarial scenario suite.
         self.on_rejected: Callable[["FullNode", Block, str], None] | None = None
+        # Canonical-chain hook: called as ``on_canonical(node,
+        # disconnected, connected)`` after every head move, with the
+        # ledger's delta (newest-first / oldest-first block lists) —
+        # how the protocol simulation keeps its run-wide confirmed tally.
+        self.on_canonical: (
+            Callable[["FullNode", list[Block], list[Block]], None] | None
+        ) = None
 
     # ------------------------------------------------------------------
     # Node protocol
@@ -184,7 +188,6 @@ class FullNode(Node):
     # ------------------------------------------------------------------
     def on_transaction(self, tx: Transaction) -> bool:
         """Pool the transaction iff it belongs to this node's shard."""
-        self.callgraph.observe(tx)
         tx_shard = self._tx_classifier(tx)
         if tx_shard != self.shard_id:
             self.stats.txs_ignored += 1
@@ -235,74 +238,34 @@ class FullNode(Node):
             # parent): hold the block until its parent connects.
             self._buffer_orphan(block)
             return
-        old_head = self.ledger.head_hash
         try:
-            self.ledger.add_block(block)
+            disconnected, connected = self.ledger.add_block(block)
         except LedgerError:
             return
-        new_head = self.ledger.head_hash
-        if new_head == block.block_hash and block.header.parent_hash == old_head:
-            # Plain canonical extension: apply incrementally, journaled
-            # so a later reorg can unwind it in O(1) per block.
-            self._apply_canonical_block(block)
-            self.mempool.remove_confirmed(
-                {tx.tx_id for tx in block.transactions}
-            )
-        elif new_head != old_head:
-            self._apply_reorg(new_head)
-        # A side-branch block leaves the state untouched: the flat state
-        # tracks the canonical chain only, otherwise transactions confirmed
-        # on a losing branch would poison sender nonces and never mine.
+        if connected:
+            # Tip-delta: revert what left the canonical chain, apply
+            # (journaled) what joined. Reverted transactions are *not*
+            # re-pooled. A side-branch block leaves the state untouched:
+            # the flat state tracks the canonical chain only, otherwise
+            # transactions confirmed on a losing branch would poison
+            # sender nonces and never mine.
+            state = self.state
+            journal = self._undo
+            for gone in disconnected:
+                state.revert_block_body(journal.pop(gone.block_hash))
+            confirmed: set[str] = set()
+            for new in connected:
+                undo = BlockUndo()
+                state.apply_block_body(
+                    new.transactions, miner=new.header.miner, journal=undo
+                )
+                journal[new.block_hash] = undo
+                confirmed.update(tx.tx_id for tx in new.transactions)
+            self.mempool.remove_confirmed(confirmed)
+            if self.on_canonical is not None:
+                self.on_canonical(self, disconnected, connected)
         self.stats.blocks_recorded += 1
         self._connect_orphans(block.block_hash)
-
-    def _apply_canonical_block(self, block: Block) -> None:
-        """Apply one block at the tip, journaling its inverse."""
-        undo = BlockUndo()
-        self.state.apply_block_body(
-            block.transactions, miner=block.header.miner, journal=undo
-        )
-        self._applied_index[block.block_hash] = len(self._applied)
-        self._applied.append((block.block_hash, undo))
-
-    def _apply_reorg(self, new_head: str) -> None:
-        """Tip-delta reorg: unwind to the fork point, apply the winner.
-
-        Behaviorally identical to a replay from genesis (see
-        :meth:`state_oracle_fingerprint`) but touches only the branch
-        delta: undo journals revert the losing suffix, then the winning
-        suffix is applied in order. Newly canonical transactions are
-        de-pooled; reverted ones are *not* re-pooled.
-        """
-        ledger = self.ledger
-        index = self._applied_index
-        applied = self._applied
-        genesis = ledger.genesis_hash
-        # Winning suffix: new head back to the deepest applied ancestor.
-        suffix: list[Block] = []
-        cursor = new_head
-        while cursor != genesis and cursor not in index:
-            block = ledger.block(cursor)
-            suffix.append(block)
-            cursor = block.header.parent_hash
-        fork_pos = index.get(cursor, -1)
-        # Unwind the losing suffix, newest first.
-        for block_hash, undo in reversed(applied[fork_pos + 1:]):
-            self.state.revert_block_body(undo)
-            del index[block_hash]
-        del applied[fork_pos + 1:]
-        # Apply the winning suffix, oldest first.
-        confirmed: set[str] = set()
-        state = self.state
-        for block in reversed(suffix):
-            undo = BlockUndo()
-            state.apply_block_body(
-                block.transactions, miner=block.header.miner, journal=undo
-            )
-            index[block.block_hash] = len(applied)
-            applied.append((block.block_hash, undo))
-            confirmed.update(tx.tx_id for tx in block.transactions)
-        self.mempool.remove_confirmed(confirmed)
 
     def state_oracle_fingerprint(self) -> str:
         """Fingerprint of a from-scratch canonical replay (the oracle).

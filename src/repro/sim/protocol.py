@@ -18,6 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
+from repro.chain.block import Block
 from repro.chain.callgraph import CallGraph
 from repro.chain.fees import FeePolicy
 from repro.chain.state import WorldState
@@ -315,6 +316,16 @@ class ProtocolSimulation:
         # Streaming-injection progress (only meaningful with a stream).
         self._inject_done = False
         self._injected = 0
+        # Run-wide confirmed tally, folded from every node's
+        # canonical-chain delta (FullNode.on_canonical): how many copies
+        # of each transaction the nodes' canonical chains hold, and how
+        # many stop targets (set by _run) no chain holds yet. Lineage
+        # runs also note, for each transaction whose union membership
+        # flipped since the last probe, whether it was held then.
+        self._chain_copies: dict[str, int] = {}
+        self._stop_targets: set[str] = set()
+        self._unconfirmed = 0
+        self._flipped: dict[str, bool] | None = {} if self._lineage else None
 
         # Fault layer: a no-op plan must leave the run bit-identical, so
         # the model (with its dedicated RNG) only changes behavior when
@@ -508,6 +519,7 @@ class ProtocolSimulation:
                 packet_commitment=self._commitment,
                 mempool_limit=self._config.mempool_limit,
             )
+            node.on_canonical = self._note_canonical
             if self._lineage:
                 node.on_pooled = self._note_pooled
                 node.on_rejected = self._note_rejected
@@ -518,6 +530,37 @@ class ProtocolSimulation:
                 hashrate_fraction=1.0,
                 seed=seed_rng.getrandbits(32),
             )
+
+    def _note_canonical(
+        self, node: FullNode, disconnected: list[Block], connected: list[Block]
+    ) -> None:
+        """Fold one node's canonical-chain delta into the run-wide tally."""
+        copies = self._chain_copies
+        targets = self._stop_targets
+        flipped = self._flipped
+        for block in disconnected:
+            for tx in block.transactions:
+                tx_id = tx.tx_id
+                count = copies[tx_id] - 1
+                if count:
+                    copies[tx_id] = count
+                    continue
+                del copies[tx_id]
+                if tx_id in targets:
+                    self._unconfirmed += 1
+                if flipped is not None:
+                    flipped.setdefault(tx_id, True)
+        for block in connected:
+            for tx in block.transactions:
+                tx_id = tx.tx_id
+                count = copies.get(tx_id, 0)
+                copies[tx_id] = count + 1
+                if count:
+                    continue
+                if tx_id in targets:
+                    self._unconfirmed -= 1
+                if flipped is not None:
+                    flipped.setdefault(tx_id, False)
 
     def _note_pooled(self, node: FullNode, tx: Transaction) -> None:
         """Lineage: first-seen gossip — the first pooling of a tx anywhere."""
@@ -679,9 +722,9 @@ class ProtocolSimulation:
             # above happen in miner registration order.
             calendar.rearm()
 
-        target_ids = (
-            self._relevant_tx_ids() if self._stream is None else set()
-        )
+        if self._stream is None:
+            self._stop_targets = self._relevant_tx_ids()
+            self._unconfirmed = len(self._stop_targets)
 
         if self._config.run_to_horizon:
             # Scenario mode: chain races must play out over the whole
@@ -701,22 +744,10 @@ class ProtocolSimulation:
                 return all(len(node.mempool) == 0 for node in nodes)
 
         else:
-            # The stop condition runs after EVERY event. Recompute the
-            # confirmed union only when some chain's head actually moved
-            # (the ledgers' version counters are bumped on head changes);
-            # between head changes the cached verdict is exact.
-            ledgers = [node.ledger for node in self._nodes.values()]
-            cache = {"stamp": -1, "done": False}
-
+            # The stop condition runs after EVERY event, so it only reads
+            # the tally the nodes' canonical-chain deltas keep current.
             def drained() -> bool:
-                stamp = sum(ledger.version for ledger in ledgers)
-                if stamp != cache["stamp"]:
-                    cache["stamp"] = stamp
-                    confirmed: set[str] = set()
-                    for ledger in ledgers:
-                        confirmed |= ledger.confirmed_tx_ids()
-                    cache["done"] = confirmed >= target_ids
-                return cache["done"]
+                return self._unconfirmed == 0
 
         if self._lineage:
             # The lineage probe piggybacks on the per-event stop-condition
@@ -736,8 +767,8 @@ class ProtocolSimulation:
                 # A self-re-arming probe event. Digest-neutral: the
                 # callback only *reads* simulation state (stop
                 # conditions are pure reads re-evaluated after every
-                # event, and the lineage probe's version stamp sees no
-                # head movement), emits no trace events, and draws no
+                # event, and the lineage probe sees no canonical-chain
+                # change), emits no trace events, and draws no
                 # randomness. Extra scheduler entries shift only the
                 # wall-sidecar counters (events_fired, peak_pending).
                 horizon = self._config.max_duration
@@ -925,15 +956,15 @@ class ProtocolSimulation:
     def _make_lineage_probe(self):
         """Detector for the confirmation edge of transaction lineages.
 
-        Returns a closure the run loop calls after every event; when
-        some chain's head moved (ledger version counters) it emits one
-        ``tx.confirmed`` event per transaction newly present in any
-        node's canonical confirmed set — the first confirmation
-        anywhere, attributed to that ledger's shard. Node iteration
-        order and the per-batch index sort are both deterministic.
+        Returns a closure the run loop calls after every event. It reads
+        only the transactions whose membership in the union of all
+        canonical chains flipped since its last call, and emits one
+        ``tx.confirmed`` event per transaction newly held by some chain —
+        the first confirmation anywhere, attributed to the shard of the
+        first node (in registration order) that holds it. Both the node
+        order and the per-batch index sort are deterministic.
 
-        The probe also tracks the *union* of confirmed sets: a
-        transaction leaving the union (every node reorged it out) emits
+        A transaction leaving the union (every node reorged it out) emits
         a ``tx.reverted`` event — the safety-violation edge adversarial
         scenarios detect shard takeovers by. ``tx.confirmed`` stays
         first-only; ``tx.reverted`` fires on every downward transition.
@@ -941,26 +972,32 @@ class ProtocolSimulation:
         tracer = self._tracer
         tx_index = self._tx_index
         nodes = list(self._nodes.values())
+        copies = self._chain_copies
+        flipped = self._flipped
         known: set[str] = set()
-        state: dict = {"stamp": -1, "union": set()}
 
         def probe() -> None:
-            stamp = sum(node.ledger.version for node in nodes)
-            if stamp == state["stamp"]:
+            if not flipped:
                 return
-            state["stamp"] = stamp
             fresh: list[tuple[int, int]] = []
-            union: set[str] = set()
-            for node in nodes:
-                shard = node.shard_id
-                for tx_id in node.ledger.confirmed_tx_ids():
-                    union.add(tx_id)
-                    if tx_id in known:
-                        continue
+            reverted: list[int] = []
+            for tx_id, was_held in flipped.items():
+                held = tx_id in copies
+                if held == was_held or (held and tx_id in known):
+                    continue
+                idx = tx_index.get(tx_id)
+                if held:
                     known.add(tx_id)
-                    idx = tx_index.get(tx_id)
                     if idx is not None:
+                        shard = next(
+                            node.shard_id
+                            for node in nodes
+                            if tx_id in node.ledger.confirmed_tx_ids()
+                        )
                         fresh.append((idx, shard))
+                elif idx is not None:
+                    reverted.append(idx)
+            flipped.clear()
             for idx, shard in sorted(fresh):
                 tracer.event(
                     "tx.confirmed",
@@ -969,21 +1006,13 @@ class ProtocolSimulation:
                     shard=shard,
                     tx=idx,
                 )
-            gone = state["union"] - union
-            if gone:
-                reverted = sorted(
-                    idx
-                    for idx in (tx_index.get(tx_id) for tx_id in gone)
-                    if idx is not None
+            for idx in sorted(reverted):
+                tracer.event(
+                    "tx.reverted",
+                    time=self._scheduler.now,
+                    phase="confirm",
+                    tx=idx,
                 )
-                for idx in reverted:
-                    tracer.event(
-                        "tx.reverted",
-                        time=self._scheduler.now,
-                        phase="confirm",
-                        tx=idx,
-                    )
-            state["union"] = union
 
         return probe
 
@@ -1167,7 +1196,7 @@ class ProtocolSimulation:
         honest leader re-sends the unification packet to nodes that have
         neither installed nor given up on it.
         """
-        confirmed = self._confirmed_ids()
+        confirmed = self._chain_copies
         txs_reannounced = 0
         blocks_regossiped = 0
         for tx in self._transactions:
@@ -1335,10 +1364,8 @@ class ProtocolSimulation:
         }
 
     def _confirmed_ids(self) -> set[str]:
-        confirmed: set[str] = set()
-        for node in self._nodes.values():
-            confirmed |= node.ledger.confirmed_tx_ids()
-        return confirmed
+        """Transactions some node's canonical chain holds."""
+        return set(self._chain_copies)
 
     def _per_shard_confirmed(self) -> dict[int, int]:
         per_shard: dict[int, int] = {}

@@ -231,7 +231,7 @@ def streaming_uniform_contract_workload(
     ``senders_per_shard`` bounds each slice's account population:
     transaction ``i`` is issued by sender ``i % senders_per_shard``
     (with climbing nonces) instead of a fresh address, so every
-    per-node structure keyed by account — world state, call graph,
+    structure keyed by account — per-node world state, the call graph,
     classification memo — stays O(population) while the transaction
     count grows without bound. Reuse keeps each sender single-contract
     (a slice's senders only ever call that slice's contract), so shard

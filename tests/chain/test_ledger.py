@@ -48,12 +48,22 @@ class TestAppend:
             ledger.add_block(orphan)
 
     def test_add_block_reports_head_change(self):
+        """add_block returns (disconnected newest-first, connected
+        oldest-first); both empty when the head does not move."""
         ledger = Ledger()
         genesis_hash = ledger.head_hash
-        b1 = Block.build(genesis_hash, "pk1", 0, 1, 1.0)
-        assert ledger.add_block(b1) is True
-        fork = Block.build(genesis_hash, "pk2", 0, 1, 1.5)
-        assert ledger.add_block(fork) is False  # same height loses tie
+        a1 = Block.build(genesis_hash, "pkA", 0, 1, 1.0)
+        assert ledger.add_block(a1) == ([], [a1])  # plain tip extension
+        a2 = Block.build(a1.block_hash, "pkA", 0, 2, 2.0)
+        assert ledger.add_block(a2) == ([], [a2])
+        fork = Block.build(genesis_hash, "pkB", 0, 1, 1.5)
+        assert ledger.add_block(fork) == ([], [])  # side branch
+        b2 = Block.build(fork.block_hash, "pkB", 0, 2, 2.5)
+        assert ledger.add_block(b2) == ([], [])  # same height loses tie
+        b3 = Block.build(b2.block_hash, "pkB", 0, 3, 3.0)
+        # Reorg: branch A leaves newest first, branch B joins oldest first.
+        assert ledger.add_block(b3) == ([a2, a1], [fork, b2, b3])
+        assert ledger.head_hash == b3.block_hash
 
 
 class TestForkChoice:
@@ -155,17 +165,6 @@ class TestIncrementalViews:
         extend(ledger, b1.block_hash, 2, miner="pkB")  # reorg to branch B
         assert shared.tx_id in ledger.confirmed_tx_ids()
         assert ledger.confirmed_tx_ids() == ledger.confirmed_tx_ids_scan()
-
-    def test_version_bumps_only_on_head_change(self):
-        ledger = Ledger()
-        v0 = ledger.version
-        b1 = extend(ledger, ledger.head_hash, 1)
-        assert ledger.version == v0 + 1
-        loser = Block.build(Block.genesis(0).block_hash, "pkB", 0, 1, 1.2)
-        ledger.add_block(loser)  # no head change
-        assert ledger.version == v0 + 1
-        extend(ledger, b1.block_hash, 2)
-        assert ledger.version == v0 + 2
 
     def test_canonical_hashes_and_is_canonical(self):
         ledger = Ledger()

@@ -53,12 +53,6 @@ class TestTransactionPath:
         node = make_node(shard=MAXSHARD_ID)
         assert node.on_transaction(make_transfer("0xualice", "0xubob"))
 
-    def test_callgraph_tracks_all_traffic(self):
-        node = make_node(shard=1)
-        node.on_transaction(make_call("0xualice", CONTRACT_A))
-        node.on_transaction(make_transfer("0xubob", "0xucarol"))
-        assert node.callgraph.user_count() >= 2
-
     def test_duplicate_tx_not_pooled_twice(self):
         node = make_node(shard=1)
         tx = make_call("0xualice", CONTRACT_A)

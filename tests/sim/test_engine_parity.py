@@ -8,7 +8,8 @@ hold that in three ways:
 
 * same-seed equality against the *recorded* baselines in
   ``seed_digests.json``, for clean, faulty, unified and unified-faulty
-  runs;
+  runs, each also with lineage tracing on (``tx.confirmed`` /
+  ``tx.reverted`` ordering);
 * the wave path against the per-send reference (a no-op fault plan
   routes every recipient through ``Network.send``);
 * targeted regressions for the RNG draw-order contract, scheduler
@@ -16,16 +17,19 @@ hold that in three ways:
   replay-from-genesis oracle.
 """
 
+import itertools
 import json
 import pathlib
 import random
 
 import pytest
 
+from repro.chain import transaction
 from repro.consensus.miner import MinerIdentity
 from repro.faults.plan import FaultPlan
 from repro.net.events import Scheduler
 from repro.net.network import LatencyModel
+from repro.observe import Tracer
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import uniform_contract_workload
 
@@ -43,6 +47,15 @@ PROFILES = {
     "unified": {"unified": True},
     "unified-faulty": {"unified": True, "faulty": True},
 }
+#: Every recorded baseline: the profiles above, each also with
+#: per-transaction lineage events in the trace.
+RECORDED_PROFILES = {
+    **PROFILES,
+    **{
+        f"{name}-lineage": {**kwargs, "lineage": True}
+        for name, kwargs in PROFILES.items()
+    },
+}
 
 
 def _simulate(
@@ -50,6 +63,7 @@ def _simulate(
     faulty: bool = False,
     workload=None,
     per_send: bool = False,
+    lineage: bool = False,
 ):
     identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
     if workload is None:
@@ -66,7 +80,7 @@ def _simulate(
         plan = FaultPlan() if per_send else None
     config = ProtocolConfig(
         seed=SEED,
-        trace=True,
+        trace=Tracer(lineage=True) if lineage else True,
         max_duration=5000.0,
         fault_plan=plan,
         retransmit_interval=60.0 if faulty else None,
@@ -76,11 +90,23 @@ def _simulate(
     return sim, result
 
 
+@pytest.fixture
+def fresh_tx_serial(monkeypatch):
+    """Restart the process-global tx serial, as a fresh process would.
+
+    Lineage events name packed transactions, and equal-fee ties in the
+    mempool break on ``tx_id`` (which embeds the serial), so a lineage
+    digest is only reproducible from a known serial.
+    """
+    monkeypatch.setattr(transaction, "_tx_counter", itertools.count())
+
+
 class TestEngineDigestParity:
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.usefixtures("fresh_tx_serial")
+    @pytest.mark.parametrize("profile", sorted(RECORDED_PROFILES))
     def test_fast_engine_matches_recorded_baseline(self, profile):
         """The committed digest pins the draw order across PR history."""
-        __, result = _simulate(**PROFILES[profile])
+        __, result = _simulate(**RECORDED_PROFILES[profile])
         assert result.trace.digest() == BASELINES[profile]
 
     def test_engines_fire_identical_event_counts(self):
@@ -216,7 +242,75 @@ class TestStateOracle:
             ), f"state drift on node {public[:10]} in profile {profile}"
 
     def test_ledger_incremental_matches_scan(self):
-        sim, __ = _simulate(faulty=True)
+        """Per-node incremental views and the run-wide tally folded from
+        the nodes' canonical-chain deltas both match full chain walks."""
+        sim, result = _simulate(faulty=True)
+        union: set[str] = set()
         for public in sorted(sim.assignment.shard_of):
             ledger = sim.node(public).ledger
             assert ledger.confirmed_tx_ids() == ledger.confirmed_tx_ids_scan()
+            union |= ledger.confirmed_tx_ids_scan()
+        assert result.confirmed_tx_ids == union
+
+
+class TestConfirmedTally:
+    """The run-wide tally folded from the nodes' canonical-chain deltas,
+    and the lineage probe that reads its union-membership flips."""
+
+    def test_probe_reports_net_flips_first_confirmation_only(self):
+        from repro.chain.block import Block
+
+        workload = uniform_contract_workload(
+            total_txs=TXS, contract_shards=3, seed=SEED
+        )
+        identities = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
+        sim = ProtocolSimulation(
+            identities,
+            workload,
+            config=ProtocolConfig(seed=SEED, trace=Tracer(lineage=True)),
+        )
+        idx, tx = 0, workload[0]
+        shard = sim._classifier()(tx)
+        node = next(
+            sim.node(public)
+            for public in sorted(sim.assignment.shard_of)
+            if sim.node(public).shard_id == shard
+        )
+        probe = sim._make_lineage_probe()
+        branches = {"a": node.ledger.genesis_hash, "b": node.ledger.genesis_hash}
+
+        def extend(branch: str, height: int, txs=()) -> None:
+            block = Block.build(
+                branches[branch], "pk-" + branch, node.shard_id, height,
+                float(height), list(txs),
+            )
+            node.adopt_block(block)
+            branches[branch] = block.block_hash
+
+        def lineage() -> list[tuple[str, int]]:
+            return [
+                (r.name, r.attrs["tx"])
+                for r in sim.tracer.records
+                if r.name in ("tx.confirmed", "tx.reverted")
+            ]
+
+        extend("a", 1, [tx])  # tx joins the union ...
+        extend("b", 1)
+        extend("b", 2)  # ... and leaves it again before the probe runs
+        assert tx.tx_id not in sim._confirmed_ids()
+        probe()
+        assert lineage() == []
+        extend("a", 2)
+        extend("a", 3)  # branch a wins back: tx joins
+        assert sim._confirmed_ids() == {tx.tx_id}
+        probe()
+        assert lineage() == [("tx.confirmed", idx)]
+        assert sim.tracer.records_named("tx.confirmed")[0].shard == node.shard_id
+        extend("b", 3)
+        extend("b", 4)  # tx leaves the union: reverted
+        probe()
+        extend("a", 4)
+        extend("a", 5)  # rejoins: tx.confirmed stays first-only
+        probe()
+        assert lineage() == [("tx.confirmed", idx), ("tx.reverted", idx)]
+        assert sim._confirmed_ids() == node.ledger.confirmed_tx_ids_scan()

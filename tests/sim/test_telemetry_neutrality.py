@@ -36,18 +36,18 @@ BASELINES = json.loads(
 PATHS = {"fast": None, "per-send": FaultPlan()}
 
 
-def _run(path: str, telemetry, stream=False):
+def _run(path: str, telemetry, stream=False, seed=SEED):
     miners = [MinerIdentity.create(f"m{i}") for i in range(MINERS)]
     if stream:
         workload = streaming_uniform_contract_workload(
-            total_txs=TXS, contract_shards=3, seed=SEED
+            total_txs=TXS, contract_shards=3, seed=seed
         )
     else:
         workload = uniform_contract_workload(
-            total_txs=TXS, contract_shards=3, seed=SEED
+            total_txs=TXS, contract_shards=3, seed=seed
         )
     config = ProtocolConfig(
-        seed=SEED,
+        seed=seed,
         trace=True,
         max_duration=5000.0,
         fault_plan=PATHS[path],
@@ -66,12 +66,13 @@ class TestDigestNeutrality:
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_on_off_digests_identical(self, path):
-        on = _run(path, Telemetry(heartbeat_interval=10.0))
-        off = _run(path, False)
-        assert on.trace.digest() == off.trace.digest()
-        assert on.confirmed_count() == off.confirmed_count()
-        assert on.shard_stats is not None
-        assert off.shard_stats is None
+        for seed in (SEED, 23):
+            on = _run(path, Telemetry(heartbeat_interval=10.0), seed=seed)
+            off = _run(path, False, seed=seed)
+            assert on.trace.digest() == off.trace.digest(), seed
+            assert on.confirmed_count() == off.confirmed_count()
+            assert on.shard_stats is not None
+            assert off.shard_stats is None
 
     def test_streamed_injection_stays_neutral(self):
         """Traffic accounting at injection time must not disturb the
