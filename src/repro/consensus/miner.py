@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
@@ -69,7 +70,7 @@ class MinerBehavior(abc.ABC):
         """
         return None
 
-    def broadcast_targets(self, node_ids: list[str]) -> list[str] | None:
+    def broadcast_targets(self, node_ids: Sequence[str]) -> list[str] | None:
         """Who receives this miner's freshly forged blocks.
 
         ``None`` (honest) broadcasts to every node. A withholding

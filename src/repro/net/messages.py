@@ -19,31 +19,29 @@ _msg_counter = itertools.count()
 
 
 class MessageKind(enum.Enum):
-    """What a message carries; drives the communication accounting."""
+    """What a message carries; drives the communication accounting.
+
+    Each member carries two plain attributes set once at class creation,
+    so the delivery path reads them without hashing the enum:
+    ``is_cross_shard`` — whether the kind counts toward cross-shard
+    communication — and ``ordinal``, its position in declaration order.
+    """
+
+    def __new__(cls, value: str, cross_shard: bool = False) -> "MessageKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.is_cross_shard = cross_shard
+        member.ordinal = len(cls.__members__)
+        return member
 
     TX = "tx"
     BLOCK = "block"
-    CROSS_SHARD_PREPARE = "cross_shard_prepare"
-    CROSS_SHARD_VOTE = "cross_shard_vote"
-    CROSS_SHARD_COMMIT = "cross_shard_commit"
-    STAT_REPORT = "stat_report"
-    LEADER_BROADCAST = "leader_broadcast"
-    GAME_STATE = "game_state"
-
-    @property
-    def is_cross_shard(self) -> bool:
-        """Whether this message counts toward cross-shard communication."""
-        return self in _CROSS_SHARD_KINDS
-
-
-_CROSS_SHARD_KINDS = {
-    MessageKind.CROSS_SHARD_PREPARE,
-    MessageKind.CROSS_SHARD_VOTE,
-    MessageKind.CROSS_SHARD_COMMIT,
-    MessageKind.STAT_REPORT,
-    MessageKind.LEADER_BROADCAST,
-    MessageKind.GAME_STATE,
-}
+    CROSS_SHARD_PREPARE = "cross_shard_prepare", True
+    CROSS_SHARD_VOTE = "cross_shard_vote", True
+    CROSS_SHARD_COMMIT = "cross_shard_commit", True
+    STAT_REPORT = "stat_report", True
+    LEADER_BROADCAST = "leader_broadcast", True
+    GAME_STATE = "game_state", True
 
 
 @dataclass(frozen=True, slots=True)

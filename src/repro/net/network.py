@@ -3,21 +3,15 @@
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigError, NetworkError
 from repro.net.events import Scheduler
 from repro.net.messages import Message, MessageKind
-
-try:  # pragma: no cover - exercised indirectly via sample_many
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
-
-#: Below this fan-out the numpy round trip costs more than it saves.
-_NUMPY_BATCH_MIN = 32
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.model import FaultModel
@@ -52,36 +46,11 @@ class LatencyModel:
                 f"latency jitter_seconds must be non-negative: {self.jitter_seconds}"
             )
 
-    def sample(self, rng: random.Random) -> float:
+    def sample(self, rng: random.Random | np.random.RandomState) -> float:
+        """``base + jitter * u`` for one draw ``u`` (none at zero jitter)."""
         if self.jitter_seconds <= 0:
             return self.base_seconds
-        return self.base_seconds + rng.uniform(0.0, self.jitter_seconds)
-
-    def sample_many(self, rng: random.Random, count: int) -> list[float]:
-        """``count`` delays in one pass.
-
-        Draw-order contract: consumes exactly the same RNG stream as
-        ``count`` successive :meth:`sample` calls (and nothing at all
-        when jitter is zero), so fan-out fast paths that pre-sample a
-        latency vector stay bit-identical to per-send sampling.
-
-        Large fan-outs vectorize the multiply-add over the raw uniforms
-        with numpy when it is available. ``rng.uniform(0.0, j)`` is
-        exactly ``0.0 + j * rng.random()`` in CPython, and IEEE-754
-        multiply/add are elementwise identical in numpy, so the batched
-        path is bit-equal to the scalar one (a pinned test property).
-        Only ``*`` and ``+`` are allowed here — numpy transcendentals
-        (``np.log`` etc.) do NOT match ``math``'s libm bit-for-bit.
-        """
-        base = self.base_seconds
-        jitter = self.jitter_seconds
-        if jitter <= 0:
-            return [base] * count
-        draw = rng.random
-        uniforms = [draw() for __ in range(count)]
-        if _np is not None and count >= _NUMPY_BATCH_MIN:
-            return (base + jitter * _np.asarray(uniforms)).tolist()
-        return [base + jitter * u for u in uniforms]
+        return self.base_seconds + self.jitter_seconds * rng.random()
 
 
 class Network:
@@ -98,13 +67,17 @@ class Network:
     or installing a no-op plan leaves the latency stream — and therefore
     the whole run — bit-identical.
 
-    **RNG draw-order contract.** The latency RNG is consumed in exactly
-    one order: one draw per scheduled recipient, in recipient order
-    (registration order for :meth:`broadcast`, list order for
-    :meth:`multicast`). Fault-free fan-outs pre-sample that latency
-    vector in a single pass and must never reorder or batch draws
-    differently — the recorded seed digests pin this, and a no-op
-    :class:`~repro.faults.plan.FaultPlan` (every send through
+    **RNG draw-order contract.** The seeded ``random.Random(seed)`` state
+    is copied once into a legacy ``numpy.random.RandomState``, the one
+    latency generator: its ``random_sample`` builds each uniform from the
+    same two MT19937 words as CPython's ``random()`` and NEP 19 freezes
+    that stream, so every draw is the Python generator's. One draw per
+    scheduled recipient, in recipient order (registration order for
+    :meth:`broadcast`, list order for :meth:`multicast`), none at zero
+    jitter: a fault-free fan-out is one ``random_sample(n)`` call and one
+    :class:`~repro.net.events.DeliveryWave`, and :meth:`send` draws via
+    :meth:`LatencyModel.sample`. The recorded seed digests pin this; a
+    no-op :class:`~repro.faults.plan.FaultPlan` (every send through
     :meth:`send`) is the per-send reference the wave path is tested
     against.
     """
@@ -118,13 +91,19 @@ class Network:
     ) -> None:
         self._scheduler = scheduler
         self._latency = latency or LatencyModel()
-        self._rng = random.Random(seed)
+        mt = random.Random(seed).getstate()[1]
+        self._rng = np.random.RandomState()
+        self._rng.set_state(("MT19937", np.array(mt[:624], np.uint32), mt[624]))
         self._faults = faults
-        self._nodes: dict[str, "Node"] = {}
+        # The node table: nodes in registration order, their ids, and
+        # each id's row — fan-outs address recipients by row.
+        self._table: list["Node"] = []
+        self._ids: tuple[str, ...] = ()
+        self._row: dict[str, int] = {}
         self.messages_delivered = 0
         self.cross_shard_messages = 0
         self.per_shard_messages: dict[int, int] = defaultdict(int)
-        self.per_kind_messages: dict[MessageKind, int] = defaultdict(int)
+        self._kind_counts = [0] * len(MessageKind)
 
     @property
     def faults(self) -> "FaultModel | None":
@@ -134,19 +113,22 @@ class Network:
     # membership
     # ------------------------------------------------------------------
     def register(self, node: "Node") -> None:
-        if node.node_id in self._nodes:
+        if node.node_id in self._row:
             raise NetworkError(f"node {node.node_id} already registered")
-        self._nodes[node.node_id] = node
+        self._row[node.node_id] = len(self._table)
+        self._table.append(node)
+        self._ids += (node.node_id,)
 
     def node(self, node_id: str) -> "Node":
         try:
-            return self._nodes[node_id]
+            return self._table[self._row[node_id]]
         except KeyError:
             raise NetworkError(f"unknown node {node_id}") from None
 
     @property
-    def node_ids(self) -> list[str]:
-        return list(self._nodes)
+    def node_ids(self) -> tuple[str, ...]:
+        """Registered node ids in registration order (shared, read-only)."""
+        return self._ids
 
     # ------------------------------------------------------------------
     # delivery
@@ -181,56 +163,54 @@ class Network:
         Returns the number of sends actually scheduled (the fault layer
         may swallow some).
         """
-        recipients = [nid for nid in self._nodes if nid != sender]
-        return self._fan_out(message_kind, sender, payload, recipients, shard_id)
+        rows = np.arange(len(self._table))
+        row = self._row.get(sender)
+        if row is not None:
+            rows = rows[rows != row]
+        return self._fan_out(message_kind, sender, payload, rows, shard_id)
 
     def multicast(self, message_kind: MessageKind, sender: str, payload: object,
-                  recipients: list[str], shard_id: int | None = None) -> int:
+                  recipients: Sequence[str], shard_id: int | None = None) -> int:
         """Send a payload to an explicit recipient list; returns sends made.
 
         The sender is skipped and does not count toward the fan-out. The
         whole list is validated before anything is sent, so an unknown
         recipient schedules no delivery and draws no latency.
         """
-        actual = [nid for nid in recipients if nid != sender]
-        for recipient in actual:
-            if recipient not in self._nodes:
-                raise NetworkError(
-                    f"unknown recipient {recipient} in "
-                    f"{message_kind.name} multicast from {sender}"
-                )
-        return self._fan_out(message_kind, sender, payload, actual, shard_id)
+        try:
+            rows = [self._row[nid] for nid in recipients if nid != sender]
+        except KeyError as unknown:
+            raise NetworkError(
+                f"unknown recipient {unknown.args[0]} in "
+                f"{message_kind.name} multicast from {sender}"
+            ) from None
+        return self._fan_out(
+            message_kind, sender, payload, np.array(rows, np.intp), shard_id
+        )
 
     def _fan_out(self, message_kind: MessageKind, sender: str, payload: object,
-                 recipients: list[str], shard_id: int | None) -> int:
-        """Send to known ``recipients`` in order; returns sends scheduled.
+                 rows: np.ndarray, shard_id: int | None) -> int:
+        """Send to the node-table ``rows`` in order; returns sends scheduled.
 
         Fault-free fan-outs are one :class:`~repro.net.events.DeliveryWave`
-        against a pre-sampled latency vector, with each ``Message`` built
-        only when its delivery pops. Under a fault model every recipient
-        goes through :meth:`send` so the model can filter it.
+        over the shared node table: the latency vector is one
+        ``random_sample`` call and a multiply-add, and each ``Message``
+        is built only when its delivery pops. Under a fault model every
+        recipient goes through :meth:`send` so the model can filter it.
         """
         if self._faults is None:
-            nodes = self._nodes
-            now = self._scheduler.now
-            delays = self._latency.sample_many(self._rng, len(recipients))
-            self._scheduler.schedule_wave(
-                [now + delay for delay in delays],
-                [nodes[recipient] for recipient in recipients],
-                self._wave_emit(message_kind, sender, payload, shard_id),
-            )
-            return len(recipients)
+            latency = self._latency
+            times = np.full(rows.size, latency.base_seconds)
+            if latency.jitter_seconds > 0:
+                times += latency.jitter_seconds * self._rng.random_sample(rows.size)
+            times += self._scheduler.now
+            emit = self._wave_emit(message_kind, sender, payload, shard_id)
+            self._scheduler.schedule_wave(times, self._table, emit, rows)
+            return rows.size
         sent = 0
-        for recipient in recipients:
-            sent += self.send(
-                Message(
-                    kind=message_kind,
-                    sender=sender,
-                    recipient=recipient,
-                    payload=payload,
-                    shard_id=shard_id,
-                )
-            )
+        for row in rows.tolist():
+            message = Message(message_kind, sender, self._ids[row], payload, shard_id)
+            sent += self.send(message)
         return sent
 
     def _wave_emit(self, message_kind: MessageKind, sender: str,
@@ -262,8 +242,9 @@ class Network:
         ):
             return
         self.messages_delivered += 1
-        self.per_kind_messages[message.kind] += 1
-        if message.kind.is_cross_shard:
+        kind = message.kind
+        self._kind_counts[kind.ordinal] += 1
+        if kind.is_cross_shard:
             self.cross_shard_messages += 1
             if message.shard_id is not None:
                 self.per_shard_messages[message.shard_id] += 1
@@ -272,6 +253,12 @@ class Network:
     # ------------------------------------------------------------------
     # accounting views
     # ------------------------------------------------------------------
+    @property
+    def per_kind_messages(self) -> Counter[MessageKind]:
+        """Deliveries per message kind (kinds never delivered read 0)."""
+        counts = zip(MessageKind, self._kind_counts)
+        return Counter({kind: count for kind, count in counts if count})
+
     def mean_per_shard_messages(self, shard_count: int) -> float:
         """Average cross-shard communication times per shard (Fig. 4b/4c)."""
         if shard_count <= 0:
@@ -283,4 +270,4 @@ class Network:
         self.messages_delivered = 0
         self.cross_shard_messages = 0
         self.per_shard_messages.clear()
-        self.per_kind_messages.clear()
+        self._kind_counts = [0] * len(MessageKind)

@@ -9,6 +9,8 @@ honest ones. Nothing here touches the simulation loop.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
 from repro.consensus.miner import HonestBehavior, MinerBehavior
@@ -110,5 +112,5 @@ class WithholdingBehavior(MinerBehavior):
     def claimed_shard(self, true_shard: int) -> int:
         return self._inner.claimed_shard(true_shard)
 
-    def broadcast_targets(self, node_ids: list[str]) -> list[str] | None:
+    def broadcast_targets(self, node_ids: Sequence[str]) -> list[str] | None:
         return [node_id for node_id in node_ids if node_id not in self._excluded]

@@ -1,5 +1,7 @@
 """Tests for repro.net.network and repro.net.messages."""
 
+import random
+
 import pytest
 
 from repro.errors import NetworkError
@@ -33,6 +35,12 @@ def make_net(n=3, latency=None, seed=0):
     return scheduler, network, nodes
 
 
+def rng_state(network):
+    """The latency generator's full MT19937 state, comparable with ==."""
+    __, key, pos, *__rest = network._rng.get_state()
+    return key.tobytes(), pos
+
+
 class TestMessageKinds:
     def test_gossip_is_not_cross_shard(self):
         assert not MessageKind.TX.is_cross_shard
@@ -42,6 +50,13 @@ class TestMessageKinds:
         assert MessageKind.CROSS_SHARD_PREPARE.is_cross_shard
         assert MessageKind.STAT_REPORT.is_cross_shard
         assert MessageKind.LEADER_BROADCAST.is_cross_shard
+
+    def test_ordinals_and_values(self):
+        # The delivery counters index a list by ``ordinal``.
+        kinds = list(MessageKind)
+        assert [kind.ordinal for kind in kinds] == list(range(len(kinds)))
+        assert MessageKind("cross_shard_vote") is MessageKind.CROSS_SHARD_VOTE
+        assert MessageKind.GAME_STATE.value == "game_state"
 
     def test_message_ids_unique(self):
         a = Message(MessageKind.TX, "a", "b")
@@ -111,13 +126,13 @@ class TestDelivery:
 
     def test_multicast_unknown_recipient_names_sender_and_kind(self):
         scheduler, network, __nodes = make_net()
-        rng_before = network._rng.getstate()
+        rng_before = rng_state(network)
         with pytest.raises(NetworkError, match=r"ghost.*BLOCK.*n0"):
             network.multicast(
                 MessageKind.BLOCK, "n0", "p", recipients=["n1", "ghost"]
             )
         assert scheduler.pending == 0
-        assert network._rng.getstate() == rng_before
+        assert rng_state(network) == rng_before
 
     def test_faulty_multicast_unknown_recipient_names_sender_and_kind(self):
         # The per-send path refuses the list before sending anything,
@@ -133,13 +148,13 @@ class TestDelivery:
             )
             for node in [Recorder("n0"), Recorder("n1")]:
                 network.register(node)
-            rng_before = network._rng.getstate()
+            rng_before = rng_state(network)
             with pytest.raises(NetworkError, match=r"ghost.*TX.*n0"):
                 network.multicast(
                     MessageKind.TX, "n0", "p", recipients=["n1", "ghost"]
                 )
             assert scheduler.pending == 0
-            assert network._rng.getstate() == rng_before
+            assert rng_state(network) == rng_before
 
     def test_duplicate_registration(self):
         __, network, nodes = make_net()
@@ -207,6 +222,72 @@ class TestDeliveryWaves:
         assert scheduler.peak_pending == 1
 
 
+class TestLatencyStream:
+    """The draw-order contract: every delay the network schedules is
+    ``base + jitter * u`` for the next draw ``u`` of the seeded Python
+    generator ``random.Random(seed)``, in recipient order, across
+    broadcasts, multicasts and single sends — on the wave path and on
+    the per-send path a no-op fault plan forces."""
+
+    def _run(self, seed, latency, faults):
+        scheduler = Scheduler()
+        network = Network(scheduler, latency=latency, seed=seed, faults=faults)
+        nodes = [Recorder(f"n{i}") for i in range(5)]
+        for node in nodes:
+            network.register(node)
+        arrivals = {}
+        for node in nodes:
+            node.receive = (
+                lambda message, node=node: arrivals.__setitem__(
+                    (message.payload, node.node_id), scheduler.now
+                )
+            )
+        # Fan out from a non-zero clock so ``now + delay`` is covered.
+        scheduler.schedule_at(1.25, lambda: None)
+        scheduler.run()
+        draw_order = []
+        network.broadcast(MessageKind.BLOCK, "n0", payload="b1")
+        draw_order += [("b1", f"n{i}") for i in (1, 2, 3, 4)]
+        network.send(Message(MessageKind.TX, "n3", "n1", payload="s1"))
+        draw_order += [("s1", "n1")]
+        network.multicast(
+            MessageKind.TX, "n2", "m1", recipients=["n4", "n2", "n0", "n1"]
+        )
+        draw_order += [("m1", "n4"), ("m1", "n0"), ("m1", "n1")]
+        network.broadcast(MessageKind.BLOCK, "n4", payload="b2")
+        draw_order += [("b2", f"n{i}") for i in (0, 1, 2, 3)]
+        network.send(Message(MessageKind.TX, "n0", "n2", payload="s2"))
+        draw_order += [("s2", "n2")]
+        scheduler.run()
+        return network, arrivals, draw_order
+
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    @pytest.mark.parametrize("noop_faults", [False, True])
+    def test_delays_are_the_seeded_python_stream(self, seed, noop_faults):
+        base, jitter = 0.05, 0.03
+        faults = FaultModel(FaultPlan(), seed=1) if noop_faults else None
+        network, arrivals, draw_order = self._run(
+            seed, LatencyModel(base, jitter), faults
+        )
+        reference = random.Random(seed)
+        expected = {
+            key: 1.25 + (base + jitter * reference.random()) for key in draw_order
+        }
+        assert arrivals == expected  # exact float equality
+        # Nothing else was drawn: the stream continues in step.
+        assert network._rng.random_sample() == reference.random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    @pytest.mark.parametrize("noop_faults", [False, True])
+    def test_zero_jitter_draws_nothing(self, seed, noop_faults):
+        faults = FaultModel(FaultPlan(), seed=1) if noop_faults else None
+        network, arrivals, draw_order = self._run(
+            seed, LatencyModel(0.02, 0.0), faults
+        )
+        assert arrivals == {key: 1.25 + 0.02 for key in draw_order}
+        assert network._rng.random_sample() == random.Random(seed).random()
+
+
 class TestAccounting:
     def test_gossip_not_counted_cross_shard(self):
         scheduler, network, __ = make_net()
@@ -245,6 +326,7 @@ class TestAccounting:
         network.reset_accounting()
         assert network.messages_delivered == 0
         assert network.per_shard_messages == {}
+        assert network.per_kind_messages == {}
 
     def test_per_kind_accounting(self):
         scheduler, network, __ = make_net()
@@ -252,6 +334,7 @@ class TestAccounting:
         network.send(Message(MessageKind.BLOCK, "n0", "n2"))
         scheduler.run()
         assert network.per_kind_messages[MessageKind.BLOCK] == 2
+        assert network.per_kind_messages[MessageKind.TX] == 0
 
 
 class TestLatencyModel:
@@ -278,11 +361,3 @@ class TestLatencyModel:
 
         with pytest.raises(ConfigError):
             LatencyModel(jitter_seconds=-0.5)
-
-    def test_sample_many_count_and_bounds(self):
-        import random
-
-        model = LatencyModel(base_seconds=0.05, jitter_seconds=0.05)
-        delays = model.sample_many(random.Random(1), 50)
-        assert len(delays) == 50
-        assert all(0.05 <= d <= 0.10 for d in delays)

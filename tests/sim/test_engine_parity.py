@@ -28,7 +28,6 @@ from repro.chain import transaction
 from repro.consensus.miner import MinerIdentity
 from repro.faults.plan import FaultPlan
 from repro.net.events import Scheduler
-from repro.net.network import LatencyModel
 from repro.observe import Tracer
 from repro.sim.protocol import ProtocolConfig, ProtocolSimulation
 from repro.workloads.generators import uniform_contract_workload
@@ -125,51 +124,6 @@ class TestEngineDigestParity:
 
         with pytest.raises(ConfigError, match=r"engine.*expected 'fast'"):
             ProtocolConfig(engine="turbo")
-
-
-class TestDrawOrderContract:
-    """``sample_many`` must consume the exact stream of repeated
-    ``sample`` calls — the contract the broadcast fast path rests on."""
-
-    def test_sample_many_matches_sequential_samples(self):
-        model = LatencyModel(base_seconds=0.05, jitter_seconds=0.03)
-        a, b = random.Random(99), random.Random(99)
-        assert model.sample_many(a, 17) == [model.sample(b) for __ in range(17)]
-        # And the streams stay aligned afterwards.
-        assert a.random() == b.random()
-
-    def test_sample_many_zero_jitter_draws_nothing(self):
-        model = LatencyModel(base_seconds=0.02, jitter_seconds=0.0)
-        rng = random.Random(5)
-        before = rng.getstate()
-        assert model.sample_many(rng, 8) == [0.02] * 8
-        assert rng.getstate() == before
-
-    def test_sample_many_numpy_batch_bit_equal_to_scalar(self):
-        """Counts at/above the numpy batching threshold must still be
-        bit-identical to per-call sampling — IEEE multiply/add is
-        elementwise identical, and digests depend on it."""
-        from repro.net import network as network_mod
-
-        threshold = network_mod._NUMPY_BATCH_MIN
-        model = LatencyModel(base_seconds=0.05, jitter_seconds=0.03)
-        for count in (threshold, threshold + 1, 4 * threshold + 3):
-            a, b = random.Random(7), random.Random(7)
-            batched = model.sample_many(a, count)
-            scalar = [model.sample(b) for __ in range(count)]
-            assert batched == scalar  # exact float equality, not approx
-            assert a.random() == b.random()
-
-    def test_sample_many_without_numpy_matches(self, monkeypatch):
-        """The pure-Python fallback (numpy absent) is the same stream."""
-        from repro.net import network as network_mod
-
-        model = LatencyModel(base_seconds=0.05, jitter_seconds=0.03)
-        a, b = random.Random(13), random.Random(13)
-        with_np = model.sample_many(a, 64)
-        monkeypatch.setattr(network_mod, "_np", None)
-        without_np = model.sample_many(b, 64)
-        assert with_np == without_np
 
 
 class TestMiningPrefetchContract:
